@@ -212,6 +212,27 @@ BM_O3SimRate(benchmark::State &state)
 BENCHMARK(BM_O3SimRate)->Unit(benchmark::kMillisecond);
 
 /**
+ * Per-System setup and teardown: construct and destroy the paper
+ * configuration of one ISA (guest memory, caches, kernel, CPUs), the
+ * fixed cost every experiment, restore and cold start pays. Arg: isa.
+ */
+void
+BM_SystemBuild(benchmark::State &state)
+{
+    const IsaId isa = state.range(0) == 0 ? IsaId::Riscv : IsaId::Cx86;
+    const SystemConfig cfg = SystemConfig::paperConfig(isa);
+    for (auto _ : state) {
+        System sys(cfg);
+        benchmark::DoNotOptimize(&sys);
+    }
+}
+BENCHMARK(BM_SystemBuild)
+    ->ArgName("isa")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+/**
  * Per-task dispatch overhead of the experiment scheduler's pool: a
  * batch of trivial tasks submitted and drained, so the time per
  * iteration is queue+wakeup cost, not work.

@@ -683,6 +683,12 @@ O3Cpu::deliverTrap(DynInst &d)
 void
 O3Cpu::squashAfter(uint64_t seq)
 {
+    // Filter the issue queue down to surviving entries first: its
+    // pointers reach into the ROB, whose squashed entries the loop
+    // below destroys.
+    iq.erase(std::remove_if(iq.begin(), iq.end(),
+                            [seq](DynInst *d) { return d->seq > seq; }),
+             iq.end());
     while (!rob.empty() && rob.back().seq > seq) {
         DynInst &d = rob.back();
         ++statSquashedUops;
@@ -702,10 +708,6 @@ O3Cpu::squashAfter(uint64_t seq)
         }
         rob.pop_back();
     }
-    // Filter the issue queue down to surviving entries.
-    iq.erase(std::remove_if(iq.begin(), iq.end(),
-                            [seq](DynInst *d) { return d->seq > seq; }),
-             iq.end());
     fetchQueue.clear();
 }
 

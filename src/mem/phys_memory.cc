@@ -1,7 +1,10 @@
 #include "phys_memory.hh"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstring>
 #include <unordered_map>
 
@@ -11,8 +14,43 @@
 namespace svb
 {
 
-PhysMemory::PhysMemory(size_t size_bytes) : mem(size_bytes, 0)
+namespace
 {
+
+/** A private anonymous mapping of @p len demand-zero bytes. */
+uint8_t *
+mapDemandZero(size_t len)
+{
+    svb_assert(len > 0, "zero-sized guest memory");
+    void *p = mmap(nullptr, len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (p == MAP_FAILED)
+        svb_fatal("cannot map ", len, " bytes of guest memory: ",
+                  std::strerror(errno));
+    return static_cast<uint8_t *>(p);
+}
+
+} // namespace
+
+PhysMemory::PhysMemory(size_t size_bytes)
+    : bytes(size_bytes), mem(mapDemandZero(size_bytes))
+{
+}
+
+PhysMemory::~PhysMemory()
+{
+    if (munmap(mem, bytes) != 0)
+        svb_panic("munmap of guest memory failed: ", std::strerror(errno));
+}
+
+void
+PhysMemory::resetToZero()
+{
+    // A private anonymous mapping refills dropped pages with zeroes on
+    // the next touch.
+    if (madvise(mem, bytes, MADV_DONTNEED) != 0)
+        svb_panic("madvise(MADV_DONTNEED) of guest memory failed: ",
+                  std::strerror(errno));
 }
 
 // --- raw flat-array accessors ----------------------------------------------
@@ -20,23 +58,23 @@ PhysMemory::PhysMemory(size_t size_bytes) : mem(size_bytes, 0)
 void
 PhysMemory::readBytesRaw(Addr addr, void *dst, size_t len) const
 {
-    svb_assert(addr + len <= mem.size(), "phys read OOB: addr=", addr,
+    svb_assert(addr + len <= bytes, "phys read OOB: addr=", addr,
                " len=", len);
-    std::memcpy(dst, mem.data() + addr, len);
+    std::memcpy(dst, mem + addr, len);
 }
 
 void
 PhysMemory::writeBytesRaw(Addr addr, const void *src, size_t len)
 {
-    svb_assert(addr + len <= mem.size(), "phys write OOB: addr=", addr,
+    svb_assert(addr + len <= bytes, "phys write OOB: addr=", addr,
                " len=", len);
-    std::memcpy(mem.data() + addr, src, len);
+    std::memcpy(mem + addr, src, len);
 }
 
 uint64_t
 PhysMemory::readRaw(Addr addr, unsigned len) const
 {
-    svb_assert(addr + len <= mem.size(), "phys read OOB: addr=", addr);
+    svb_assert(addr + len <= bytes, "phys read OOB: addr=", addr);
     uint64_t v = 0;
     for (unsigned i = 0; i < len; ++i)
         v |= uint64_t(mem[addr + i]) << (8 * i);
@@ -46,7 +84,7 @@ PhysMemory::readRaw(Addr addr, unsigned len) const
 void
 PhysMemory::writeRaw(Addr addr, uint64_t value, unsigned len)
 {
-    svb_assert(addr + len <= mem.size(), "phys write OOB: addr=", addr);
+    svb_assert(addr + len <= bytes, "phys write OOB: addr=", addr);
     for (unsigned i = 0; i < len; ++i)
         mem[addr + i] = uint8_t(value >> (8 * i));
 }
@@ -56,22 +94,22 @@ PhysMemory::clearRange(Addr addr, size_t len)
 {
     if (hooksActive && len > 0)
         touch(addr, len);
-    svb_assert(addr + len <= mem.size(), "phys clear OOB");
-    std::memset(mem.data() + addr, 0, len);
+    svb_assert(addr + len <= bytes, "phys clear OOB");
+    std::memset(mem + addr, 0, len);
 }
 
 uint8_t *
 PhysMemory::data()
 {
     materializeAll();
-    return mem.data();
+    return mem;
 }
 
 const uint8_t *
 PhysMemory::data() const
 {
     materializeAll();
-    return mem.data();
+    return mem;
 }
 
 // --- touch hook -------------------------------------------------------------
@@ -106,10 +144,10 @@ PhysMemory::materializePage(uint64_t page, bool prefetch) const
     svb_assert(it != lazyImage->pages.end(),
                "materialise of a page absent from the image");
     const size_t off = size_t(page) * snapshotPageBytes;
-    const size_t len = std::min(snapshotPageBytes, mem.size() - off);
+    const size_t len = std::min(snapshotPageBytes, bytes - off);
     // Copy-on-write: the shared snapshot page is copied into this
     // instance's private backing; later guest writes land there.
-    std::memcpy(mem.data() + off, it->second->bytes.data(), len);
+    std::memcpy(mem + off, it->second->bytes.data(), len);
     pageReady[page] = true;
     --remainingLazy;
     ++nResident;
@@ -160,13 +198,13 @@ void
 PhysMemory::restoreLazy(std::shared_ptr<const PageImage> image)
 {
     svb_assert(image != nullptr, "restoreLazy without an image");
-    svb_assert(image->memSize == mem.size(),
+    svb_assert(image->memSize == bytes,
                "page image memory size mismatch");
-    std::fill(mem.begin(), mem.end(), 0);
+    resetToZero();
     recording = false;
     touched.clear();
     lazyImage = std::move(image);
-    // Pages absent from the image are all-zero, which the fill above
+    // Pages absent from the image are all-zero, which the reset above
     // already produced: only snapshot pages stay pending.
     pageReady.assign(numPages(), true);
     remainingLazy = 0;
@@ -236,7 +274,7 @@ PhysMemory::serializeState(const std::string &prefix, Checkpoint &cp) const
     materializeAll();
     static const std::array<uint8_t, snapshotPageBytes> zeroPage{};
     cp.setScalar(prefix + "format", 2);
-    cp.setScalar(prefix + "size", mem.size());
+    cp.setScalar(prefix + "size", bytes);
     cp.setScalar(prefix + "pageBytes", snapshotPageBytes);
 
     BlobWriter table;
@@ -247,15 +285,15 @@ PhysMemory::serializeState(const std::string &prefix, Checkpoint &cp) const
     uint64_t nMappings = 0;
     uint64_t nUnique = 0;
     std::array<uint8_t, snapshotPageBytes> padded;
-    for (size_t page = 0; page * snapshotPageBytes < mem.size(); ++page) {
+    for (size_t page = 0; page * snapshotPageBytes < bytes; ++page) {
         const size_t off = page * snapshotPageBytes;
-        const size_t len = std::min(snapshotPageBytes, mem.size() - off);
+        const size_t len = std::min(snapshotPageBytes, bytes - off);
         // Zero-page detection via word-wise memcmp against a static
         // zero page (not a byte-at-a-time scan): this runs over every
         // page of every checkpoint save.
-        if (std::memcmp(mem.data() + off, zeroPage.data(), len) == 0)
+        if (std::memcmp(mem + off, zeroPage.data(), len) == 0)
             continue;
-        const uint8_t *payload = mem.data() + off;
+        const uint8_t *payload = mem + off;
         if (len < snapshotPageBytes) {
             // Short tail page: compare and store zero-padded, so its
             // hash and bytes behave exactly like a full page.
@@ -296,7 +334,7 @@ PhysMemory::unserializeState(const std::string &prefix, const Checkpoint &cp)
     std::string err;
     if (!validateCheckpoint(prefix, cp, &err))
         svb_fatal("refusing corrupt checkpoint memory image: ", err);
-    svb_assert(cp.getScalar(prefix + "size") == mem.size(),
+    svb_assert(cp.getScalar(prefix + "size") == bytes,
                "checkpoint memory size mismatch");
 
     // A full restore replaces the contents wholesale: any pending
@@ -308,7 +346,7 @@ PhysMemory::unserializeState(const std::string &prefix, const Checkpoint &cp)
     touched.clear();
     updateHooks();
 
-    std::fill(mem.begin(), mem.end(), 0);
+    resetToZero();
     if (cp.hasScalar(prefix + "format")) {
         // v2: page table over the unique-page pool.
         const std::vector<uint8_t> &pd = cp.getBlob(prefix + "pagedata");
@@ -318,8 +356,8 @@ PhysMemory::unserializeState(const std::string &prefix, const Checkpoint &cp)
             const uint64_t uid = r.getU64();
             const size_t off = size_t(page) * snapshotPageBytes;
             const size_t len =
-                std::min(snapshotPageBytes, mem.size() - off);
-            std::memcpy(mem.data() + off,
+                std::min(snapshotPageBytes, bytes - off);
+            std::memcpy(mem + off,
                         pd.data() + size_t(uid) * snapshotPageBytes, len);
         }
     } else {
@@ -330,7 +368,7 @@ PhysMemory::unserializeState(const std::string &prefix, const Checkpoint &cp)
         for (uint64_t i = 0; i < pages; ++i) {
             const uint64_t page = r.getU64();
             const size_t off = size_t(page) * pageBytes;
-            const size_t len = std::min(pageBytes, mem.size() - off);
+            const size_t len = std::min(pageBytes, bytes - off);
             for (size_t b = 0; b < len; ++b)
                 mem[off + b] = r.getU8();
         }

@@ -6,6 +6,13 @@
  * the cache models are tag-only timing structures (see cache.hh), so
  * correctness never depends on cache state.
  *
+ * The backing is a private anonymous demand-zero mapping owned by the
+ * instance: every page reads zero until first written, and only the
+ * pages the guest (or a restore) touches become resident. Building,
+ * restoring and freeing an instance therefore cost what it touches,
+ * not its capacity; both restore paths reset the whole backing to
+ * demand-zero with MADV_DONTNEED instead of zero-filling it.
+ *
  * Checkpoints are page-granular (format v2): a table of content-hashed
  * 4 KiB pages with in-image deduplication, instead of a flat dump.
  * Two extensions ride on the page table:
@@ -19,8 +26,8 @@
  *    the recorded working set and materialises every other snapshot
  *    page on first touch, from a shared refcounted PageImage
  *    (page_store.hh). Materialisation copies into this instance's
- *    private flat backing, so sharing is copy-on-write and a guest
- *    write is never visible to a sibling instance. The restored
+ *    private demand-zero backing, so sharing is copy-on-write and a
+ *    guest write is never visible to a sibling instance. The restored
  *    contents are byte-identical to a full restore by construction —
  *    every guest access flows through the accessors below.
  *
@@ -53,8 +60,12 @@ class PhysMemory : public Serializable
   public:
     /** @param size_bytes capacity; accesses beyond it are a bug */
     explicit PhysMemory(size_t size_bytes);
+    ~PhysMemory() override;
 
-    size_t size() const { return mem.size(); }
+    PhysMemory(const PhysMemory &) = delete;
+    PhysMemory &operator=(const PhysMemory &) = delete;
+
+    size_t size() const { return bytes; }
 
     /** Read @p len bytes at @p addr into @p dst. */
     void
@@ -121,10 +132,10 @@ class PhysMemory : public Serializable
 
     // --- lazy (working-set-aware) restore ----------------------------------
     /**
-     * Restore from @p image instead of a full copy-in: zero the
-     * backing, eagerly materialise the image's recorded working set,
-     * and leave every other snapshot page to materialise on first
-     * touch. @p image->memSize must match size().
+     * Restore from @p image instead of a full copy-in: reset the
+     * backing to demand-zero, eagerly materialise the image's recorded
+     * working set, and leave every other snapshot page to materialise
+     * on first touch. @p image->memSize must match size().
      */
     void restoreLazy(std::shared_ptr<const PageImage> image);
 
@@ -210,13 +221,20 @@ class PhysMemory : public Serializable
     /** Recompute hooksActive from the recording/lazy state. */
     void updateHooks() const;
 
+    /** Drop every page of the backing: each reads zero again and
+     *  stops being resident until it is next written. */
+    void resetToZero();
+
     size_t numPages() const
     {
-        return (mem.size() + snapshotPageBytes - 1) / snapshotPageBytes;
+        return (bytes + snapshotPageBytes - 1) / snapshotPageBytes;
     }
 
-    /** Mutable: const readers materialise lazily-restored pages. */
-    mutable std::vector<uint8_t> mem;
+    /** Capacity in bytes. */
+    const size_t bytes;
+    /** Base of the demand-zero mapping (const readers write through it
+     *  when they materialise lazily-restored pages). */
+    uint8_t *const mem;
 
     // Touch-recording state.
     bool recording = false;

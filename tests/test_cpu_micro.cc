@@ -167,6 +167,67 @@ TEST(O3Micro, DataDependentBranchesMispredictMore)
     EXPECT_GT(mispredicts, 500); // a hard branch stream really costs
 }
 
+TEST(O3Micro, MispredictSquashDropsUnissuedYoungerIqEntries)
+{
+    // A hard-to-predict branch resolves while the uops behind it still
+    // wait in the issue queue on a divide chain, so every mispredict
+    // squashes not-yet-issued IQ entries. The squash has to drop them
+    // from the IQ before the ROB destroys their DynInsts; the reverse
+    // order reads freed ROB nodes (a heap-use-after-free under ASan).
+    auto mk = [] {
+        gen::ProgramBuilder pb;
+        auto f = pb.beginFunction("main", 0);
+        const int i = f.newVreg(), x = f.newVreg(), t = f.newVreg(),
+                  acc = f.newVreg();
+        const int loop = f.newLabel(), skip = f.newLabel(),
+                  done = f.newLabel();
+        f.movi(i, 0);
+        f.movi(acc, 1);
+        f.movi(x, 0x9e3779b9);
+        f.label(loop);
+        f.brcondi(gen::CondOp::Ge, i, 1500, done);
+        f.bini(gen::BinOp::Mul, x, x, 1103515245);
+        f.bini(gen::BinOp::Add, x, x, 12345);
+        // The branch waits on a divide, long enough for the front end
+        // to rename the younger uops behind it.
+        f.bini(gen::BinOp::Udiv, t, x, 3);
+        f.bini(gen::BinOp::Shr, t, t, 17);
+        f.bini(gen::BinOp::And, t, t, 1);
+        f.brcondi(gen::CondOp::Eq, t, 0, skip);
+        f.bini(gen::BinOp::Add, acc, acc, 3);
+        f.label(skip);
+        // Younger work that cannot issue until the chain resolves.
+        for (int k = 0; k < 4; ++k) {
+            f.bini(gen::BinOp::Or, acc, acc, 1);
+            f.bin(gen::BinOp::Div, acc, x, acc);
+        }
+        f.addi(i, i, 1);
+        f.br(loop);
+        f.label(done);
+        f.ret();
+        pb.setEntry("main");
+        return pb.take();
+    };
+
+    const RunOutcome out = runO3(mk());
+    const double mispredicts =
+        out.stats.at("system.cpu0.o3.branchMispredicts");
+    EXPECT_GT(mispredicts, 200);
+    EXPECT_GT(out.stats.at("system.cpu0.o3.squashedUops"), mispredicts);
+
+    // Squashing never disturbs the committed stream: the Atomic CPU
+    // retires exactly the same instructions.
+    SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
+    cfg.numCores = 1;
+    System sys(cfg);
+    loadProcess(sys.kernel(), gen::compileProgram(mk(), IsaId::Riscv), "t",
+                0);
+    sys.scheduleIdleCores();
+    EXPECT_LT(sys.run(50'000'000), 50'000'000u);
+    EXPECT_EQ(out.stats.at("system.cpu0.o3.numInsts"),
+              sys.stats().snapshotAll().at("system.cpu0.atomic.numInsts"));
+}
+
 TEST(O3Micro, StoreToLoadForwardingHappens)
 {
     // A tight store-then-load-same-address loop must forward.

@@ -206,6 +206,77 @@ TEST(PhysMemory, SerializeOfLazyInstanceMaterializesFirst)
     EXPECT_EQ(back.read64(2 * snapshotPageBytes), 0x77u);
 }
 
+TEST(PhysMemory, RestoresResetPagesAbsentFromTheImageToZero)
+{
+    // Not a multiple of the page size: the short tail page (page 5)
+    // has to be reset like any other.
+    const size_t size = 5 * snapshotPageBytes + 100;
+    PhysMemory source(size);
+    for (uint64_t page : {1ull, 3ull}) {
+        for (size_t b = 0; b < snapshotPageBytes; b += 8)
+            source.write64(page * snapshotPageBytes + b,
+                           0xc0de0000 + page * 8 + b);
+    }
+    Checkpoint cp;
+    source.serializeState("m.", cp);
+    ASSERT_EQ(cp.getScalar("m.pages"), 2u);
+    std::vector<uint8_t> want(size);
+    source.readBytes(0, want.data(), size);
+
+    // Non-zero bytes on every page the image lacks, the last byte of
+    // the memory included, and on the image pages too.
+    const auto dirty = [&](PhysMemory &m) {
+        const std::vector<uint8_t> junk(snapshotPageBytes, 0xa7);
+        for (uint64_t page = 0; page < 5; ++page)
+            m.writeBytes(page * snapshotPageBytes, junk.data(), junk.size());
+        m.writeBytes(5 * snapshotPageBytes, junk.data(), 100);
+        ASSERT_EQ(m.read8(size - 1), 0xa7);
+    };
+    const auto contents = [&](const PhysMemory &m) {
+        std::vector<uint8_t> got(size);
+        m.readBytes(0, got.data(), size);
+        return got;
+    };
+
+    PhysMemory full(size);
+    dirty(full);
+    full.unserializeState("m.", cp);
+    EXPECT_EQ(full.read8(size - 1), 0);
+    EXPECT_EQ(full.read64(2 * snapshotPageBytes), 0u);
+    EXPECT_TRUE(contents(full) == want);
+
+    PhysMemory lazy(size);
+    dirty(lazy);
+    lazy.restoreLazy(PhysMemory::buildImage("m.", cp));
+    EXPECT_EQ(lazy.read8(size - 1), 0);
+    EXPECT_EQ(lazy.read64(2 * snapshotPageBytes), 0u);
+    EXPECT_TRUE(contents(lazy) == want);
+
+    // Each path also resets an instance the other one restored.
+    dirty(full);
+    full.restoreLazy(PhysMemory::buildImage("m.", cp));
+    EXPECT_TRUE(contents(full) == want);
+    dirty(lazy);
+    lazy.unserializeState("m.", cp);
+    EXPECT_TRUE(contents(lazy) == want);
+}
+
+TEST(PhysMemory, AccessesPastTheEndHitTheBoundsAssert)
+{
+    const size_t size = 2 * snapshotPageBytes + 100;
+    PhysMemory mem(size);
+    mem.write8(size - 1, 1); // the last byte is in bounds
+    uint8_t buf[8] = {};
+    EXPECT_DEATH((void)mem.read8(size), "phys read OOB");
+    EXPECT_DEATH(mem.write8(size, 1), "phys write OOB");
+    EXPECT_DEATH((void)mem.read64(size - 4), "phys read OOB");
+    EXPECT_DEATH(mem.write64(size - 4, 1), "phys write OOB");
+    EXPECT_DEATH(mem.readBytes(size - 4, buf, sizeof(buf)), "phys read OOB");
+    EXPECT_DEATH(mem.writeBytes(size - 4, buf, sizeof(buf)),
+                 "phys write OOB");
+    EXPECT_DEATH(mem.clearRange(size - 4, 8), "phys clear OOB");
+}
+
 TEST(PhysMemory, ValidateCheckpointRejectsHostileImages)
 {
     PhysMemory mem(4 * snapshotPageBytes);
