@@ -742,20 +742,6 @@ ResultCache::recordRow(const std::string &key,
     appendLocked(key, row);
 }
 
-bool
-ResultCache::lookupLoadRow(const std::string &key,
-                           std::map<std::string, uint64_t> &out)
-{
-    return lookupRow(key, out);
-}
-
-void
-ResultCache::recordLoadRow(const std::string &key,
-                           const std::map<std::string, uint64_t> &fields)
-{
-    recordRow(key, fields);
-}
-
 void
 ResultCache::clear()
 {

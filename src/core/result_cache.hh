@@ -179,21 +179,14 @@ class ResultCache
                            const FunctionSpec &spec) const;
 
     // --- load-scenario summary rows (mode "load") ------------------------
-    // The load subsystem owns the semantics of these fields; the
+    // The load subsystem owns the semantics of these fields; rows
+    // travel through the generic lookupRow()/recordRow() pair, and the
     // cache validates the schema (field set + version) on load.
 
     /** Key of a load-scenario row. @p scenario must not contain the
      *  CSV metacharacters ',', '|' or '='. */
     std::string loadKey(const ClusterConfig &cfg,
                         const std::string &scenario) const;
-
-    /** @return true and fill @p out when the load row is cached. */
-    bool lookupLoadRow(const std::string &key,
-                       std::map<std::string, uint64_t> &out);
-
-    /** Store a load-scenario summary row (schema-checked). */
-    void recordLoadRow(const std::string &key,
-                       const std::map<std::string, uint64_t> &fields);
 
     // --- workflow-scenario summary rows (mode "wflow") -------------------
     // The workflow engine (load/workflow.hh) owns the field semantics;

@@ -11,20 +11,23 @@ Assembler::li(Reg rd, int64_t value)
         addi(rd, 0, int32_t(value));
         return;
     }
-    // Fits 32 bits signed: lui + addiw.
+    // Fits 32 bits signed: lui + addiw. The split is computed in 64
+    // bits: near INT32_MAX the rounded upper part is 0x80000, which
+    // lui sign-extends and addiw wraps back, as the hardware does.
     if (value >= INT32_MIN && value <= INT32_MAX) {
-        int32_t v = int32_t(value);
-        int32_t hi = (v + 0x800) >> 12;
-        int32_t lo = v - (hi << 12);
-        lui(rd, hi & 0xfffff);
+        const int64_t hi = (value + 0x800) >> 12;
+        const int64_t lo = value - (hi << 12);
+        lui(rd, int32_t(hi & 0xfffff));
         if (lo != 0 || hi == 0)
-            addiw(rd, rd, lo);
+            addiw(rd, rd, int32_t(lo));
         return;
     }
     // General 64-bit constant: materialise the upper part recursively,
     // then shift in 12-bit chunks (standard GNU-as expansion shape).
+    // The subtraction wraps near INT64_MAX, as the register arithmetic
+    // that reassembles the value does, so it is done unsigned.
     int64_t lo12 = value << 52 >> 52;
-    int64_t hi = (value - lo12) >> 12;
+    int64_t hi = int64_t(uint64_t(value) - uint64_t(lo12)) >> 12;
     li(rd, hi);
     slli(rd, rd, 12);
     if (lo12 != 0)

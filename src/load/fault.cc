@@ -82,25 +82,26 @@ faultsFromEnv()
 }
 
 uint64_t
-BackoffSchedule::nextDelayNs(Rng &rng)
+nextBackoffNs(const RetryPolicy &policy, uint64_t &prev_ns, Rng &rng)
 {
-    const uint64_t base = pol.backoffBaseNs;
+    const uint64_t base = policy.backoffBaseNs;
     if (base == 0)
         return 0;
-    const uint64_t cap = std::max(pol.backoffCapNs, base);
+    const uint64_t cap = std::max(policy.backoffCapNs, base);
     uint64_t delay;
-    if (prevNs == 0) {
+    if (prev_ns == 0) {
         // First retry: exactly the base — pins the schedule's origin
         // so golden tests can anchor the whole sequence.
         delay = base;
     } else {
         // Decorrelated jitter: uniform in [base, 3 * prev], clamped.
         // Saturate the multiply so a huge cap cannot wrap the bound.
-        const uint64_t hi = prevNs > cap / 3 ? cap : std::min(cap, 3 * prevNs);
+        const uint64_t hi =
+            prev_ns > cap / 3 ? cap : std::min(cap, 3 * prev_ns);
         delay = hi <= base ? base : base + rng.nextBounded(hi - base + 1);
     }
     delay = std::min(delay, cap);
-    prevNs = delay;
+    prev_ns = delay;
     return delay;
 }
 

@@ -16,7 +16,7 @@
  *    substream — enabling faults never perturbs the arrival, mix or
  *    warm-sample streams, so a zero-rate config is byte-identical to
  *    no fault layer at all.
- *  - RetryPolicy / BackoffSchedule: client-side retries with
+ *  - RetryPolicy / nextBackoffNs: client-side retries with
  *    per-attempt timeouts and exponential backoff with decorrelated
  *    jitter (sleep_k = min(cap, uniform[base, 3*sleep_{k-1}])), all
  *    in simulated time.
@@ -25,7 +25,7 @@
  *    closes again after successful half-open probes.
  *
  * Everything here is plain value-semantics state driven by the load
- * engine (load_runner.cc); nothing reads clocks or global state, so
+ * engine (timeline.cc); nothing reads clocks or global state, so
  * SVBENCH_JOBS worker count cannot influence an outcome.
  */
 
@@ -101,23 +101,16 @@ struct RetryPolicy
 };
 
 /**
- * Stateful decorrelated-jitter backoff: delay 1 is exactly
- * backoffBaseNs, delay k is uniform in [base, 3 * delay_{k-1}]
- * clamped to backoffCapNs. One schedule per invocation's retry
- * chain; randomness comes from the caller's dedicated substream.
+ * Decorrelated-jitter backoff: delay 1 is exactly backoffBaseNs, delay
+ * k is uniform in [base, 3 * delay_{k-1}] clamped to backoffCapNs.
+ * @p prev_ns is the one word of state per retry chain (0 before the
+ * first retry) and is updated to the returned delay; randomness comes
+ * from the caller's dedicated substream.
+ *
+ * @return the next simulated-time delay before a retry.
  */
-class BackoffSchedule
-{
-  public:
-    explicit BackoffSchedule(const RetryPolicy &policy) : pol(policy) {}
-
-    /** @return the next simulated-time delay before a retry. */
-    uint64_t nextDelayNs(Rng &rng);
-
-  private:
-    RetryPolicy pol;
-    uint64_t prevNs = 0;
-};
+uint64_t nextBackoffNs(const RetryPolicy &policy, uint64_t &prev_ns,
+                       Rng &rng);
 
 /** Circuit-breaker parameters (disabled by default). */
 struct BreakerConfig

@@ -15,10 +15,14 @@
  *     the PR-2 prepared-state checkpoint instead of re-booting, so a
  *     warm CheckpointStore makes calibration cheap; rows are memoised
  *     in the ResultCache (mode "ldcal").
- *  2. An open-loop ArrivalProcess emits invocation timestamps; an
- *     InstancePool maps each invocation to the cold or warm path and
- *     to a start time (queueing included); the per-invocation
- *     latency (completion - arrival) feeds a LatencyHistogram.
+ *  2. The scenario runs on the subsystem's one event engine
+ *     (timeline.hh) as a weighted mix of one-task workflows, one per
+ *     traffic-mix entry: an open-loop ArrivalProcess emits invocation
+ *     timestamps, the engine draws each invocation's function, routes
+ *     it across the fleet and maps it onto a node's InstancePool (cold
+ *     or warm path, queueing included); the per-invocation latency
+ *     (completion - arrival) feeds a LatencyHistogram. The workflow
+ *     engine (workflow.hh) is the other view of the same engine.
  *  3. Scenario summaries land in the ResultCache as mode-"load" rows;
  *     loadSweep() fans scenarios out across SVBENCH_JOBS workers and
  *     records rows in submission order, so the CSV is byte-identical
@@ -31,13 +35,13 @@
  * Resilience (fault.hh): a scenario may additionally carry a fault
  * model (failed cold starts, instance crashes, stragglers, corrupt
  * restores), a client retry policy (timeouts, decorrelated-jitter
- * backoff) and a per-function circuit breaker. The stream engine is
- * event-driven — attempt starts and completions interleave on one
- * simulated timeline, failed attempts re-enter it after their
- * backoff, crashed instances go dead in the pool — and splits the
- * latency accounting into goodput vs. error distributions plus an
- * availability figure. With all fault rates zero (the default) the
- * engine replays the exact pre-fault byte stream.
+ * backoff) and a per-function circuit breaker. Attempt starts and
+ * completions interleave on one simulated timeline, failed attempts
+ * re-enter it after their backoff, crashed instances go dead in the
+ * pool, and the latency accounting splits into goodput vs. error
+ * distributions plus an availability figure. With all fault rates
+ * zero (the default) the engine replays the exact pre-fault byte
+ * stream.
  *
  * Fleet (fleet.hh): a scenario may scale out to N nodes, each with
  * its own InstancePool built from the scenario's PoolConfig, behind
@@ -79,24 +83,23 @@ namespace svb::load
  * Registry of the Rng::split substream ids claimed off a scenario's
  * master seed (LoadScenario::seed / WorkflowScenario::seed).
  *
- * Every engine on the load timeline derives ALL of its randomness
- * from `Rng master(seed)` via `master.split(id)`, one dedicated id
- * per concern, so enabling one subsystem can never perturb another's
- * draw sequence (the byte-identity contracts depend on it). This
- * enum is the single claim table — add new subsystems HERE so two
- * engines can't silently collide on a stream id:
+ * The event engine (timeline.cc, behind both the load and the workflow
+ * view) derives ALL of its randomness from `Rng master(seed)` via
+ * `master.split(id)`, one dedicated id per concern, so enabling one
+ * subsystem can never perturb another's draw sequence (the
+ * byte-identity contracts depend on it). This enum is the single claim
+ * table — add new subsystems HERE so two concerns can't silently
+ * collide on a stream id:
  *
- *   id | claimed by      | drawn for
- *   ---+-----------------+------------------------------------------
- *    0 | arrival.hh      | arrival-process inter-arrival times
- *    1 | load_runner.cc  | traffic-mix function choice per invocation
- *    2 | load_runner.cc / workflow.cc | warm-path service samples
- *    3 | fault.hh        | fault-injection dice (per attempt)
- *    4 | load_runner.cc / workflow.cc | retry-backoff jitter
- *    5 | fleet.hh        | routing draws (random / power-of-two)
- *    6 | workflow.cc     | workflow engine (reserved for randomised
- *      |                 | per-stage placement; the current policies
- *      |                 | draw nothing from it)
+ *   id | claimed by   | drawn for
+ *   ---+--------------+---------------------------------------------
+ *    0 | arrival.hh   | arrival-process inter-arrival times
+ *    1 | timeline.cc  | workflow-mix choice per instance (the load
+ *      |              | view's traffic mix; one workflow draws none)
+ *    2 | timeline.cc  | warm-path service samples
+ *    3 | fault.hh     | fault-injection dice (per attempt)
+ *    4 | timeline.cc  | retry-backoff jitter
+ *    5 | fleet.hh     | routing draws (random / power-of-two)
  */
 enum StreamId : uint64_t
 {
@@ -106,7 +109,6 @@ enum StreamId : uint64_t
     kStreamFault = 3,
     kStreamRetry = 4,
     kStreamRoute = 5,
-    kStreamWorkflow = 6,
 };
 
 /**

@@ -1,13 +1,15 @@
 /**
  * @file
- * The workflow engine: composed serverless functions scheduled as
- * DAGs over the invocation-load timeline.
+ * The workflow view: composed serverless functions scheduled as DAGs
+ * over the invocation-load timeline.
  *
  * SeBS-Flow (PAPERS.md) benchmarks serverless *workflows* — chains,
  * fan-out/fan-in, map-reduce — and finds end-to-end latency is
  * governed by inter-function payload transfer and stage scheduling,
- * not just per-function service time. This engine composes the
- * existing substrate into exactly that shape:
+ * not just per-function service time. The subsystem's one event
+ * engine (timeline.hh) schedules exactly that shape; the load runner
+ * (load_runner.hh) is its other view, running a mix of one-task
+ * workflows:
  *
  *  - a WorkflowSpec (dag.hh) names stages over the scenario's
  *    calibrated functions; an open-loop ArrivalProcess emits workflow
@@ -31,11 +33,9 @@
  * Determinism contract: all randomness comes from the StreamId
  * substreams of the scenario seed (load_runner.hh) and events resolve
  * in (time, push-seq) order, so results are byte-identical at any
- * SVBENCH_JOBS. A single-stage workflow performs the identical
- * arrival / warm-sample / fault / routing draw sequence and pool
- * operations as the plain load engine, so it reproduces the
- * single-function load-path numbers exactly (tests/test_workflow.cc
- * pins this).
+ * SVBENCH_JOBS. A single-stage workflow and a single-function load
+ * scenario are the same engine run, so they agree on every shared
+ * number (tests/test_workflow.cc pins this).
  *
  * Results are memoised in the ResultCache as mode-"wflow" rows
  * (RowSchema-registered); workflowSweep() fans scenarios across

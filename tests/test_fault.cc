@@ -1,7 +1,7 @@
 /**
  * @file
  * The fault-injection / resilience layer's contracts:
- *  - BackoffSchedule pins its golden sequence (first delay exactly the
+ *  - nextBackoffNs pins its golden sequence (first delay exactly the
  *    base, decorrelated jitter within [base, min(cap, 3*prev)] after,
  *    byte-reproducible per seed);
  *  - CircuitBreaker walks the closed/open/half-open state machine
@@ -147,15 +147,15 @@ TEST(Backoff, FirstDelayIsExactlyTheBaseAndJitterStaysBounded)
     RetryPolicy pol;
     pol.backoffBaseNs = 1'000;
     pol.backoffCapNs = 100'000;
-    BackoffSchedule sched(pol);
+    uint64_t state = 0;
     Rng rng(0xbac0ff);
 
-    uint64_t prev = sched.nextDelayNs(rng);
+    uint64_t prev = nextBackoffNs(pol, state, rng);
     EXPECT_EQ(prev, 1'000u); // anchors the whole sequence
     for (int k = 0; k < 64; ++k) {
         const uint64_t hi =
             std::min<uint64_t>(pol.backoffCapNs, 3 * prev);
-        const uint64_t d = sched.nextDelayNs(rng);
+        const uint64_t d = nextBackoffNs(pol, state, rng);
         EXPECT_GE(d, pol.backoffBaseNs) << "step " << k;
         EXPECT_LE(d, std::max<uint64_t>(hi, pol.backoffBaseNs))
             << "step " << k;
@@ -170,11 +170,11 @@ TEST(Backoff, SequenceIsReproduciblePerSeed)
     pol.backoffCapNs = 1'000'000;
 
     auto sequence = [&pol](uint64_t seed) {
-        BackoffSchedule sched(pol);
+        uint64_t state = 0;
         Rng rng(seed);
         std::vector<uint64_t> out;
         for (int k = 0; k < 32; ++k)
-            out.push_back(sched.nextDelayNs(rng));
+            out.push_back(nextBackoffNs(pol, state, rng));
         return out;
     };
     EXPECT_EQ(sequence(7), sequence(7));
@@ -186,17 +186,17 @@ TEST(Backoff, CapSaturatesAndZeroBaseMeansImmediateRetry)
     RetryPolicy pol;
     pol.backoffBaseNs = 5'000;
     pol.backoffCapNs = 6'000; // cap < 3*base: clamps immediately
-    BackoffSchedule sched(pol);
+    uint64_t state = 0;
     Rng rng(11);
-    EXPECT_EQ(sched.nextDelayNs(rng), 5'000u);
+    EXPECT_EQ(nextBackoffNs(pol, state, rng), 5'000u);
     for (int k = 0; k < 16; ++k)
-        EXPECT_LE(sched.nextDelayNs(rng), 6'000u);
+        EXPECT_LE(nextBackoffNs(pol, state, rng), 6'000u);
 
     RetryPolicy none;
     none.backoffBaseNs = 0;
-    BackoffSchedule zero(none);
+    uint64_t zero = 0;
     for (int k = 0; k < 4; ++k)
-        EXPECT_EQ(zero.nextDelayNs(rng), 0u);
+        EXPECT_EQ(nextBackoffNs(none, zero, rng), 0u);
 }
 
 // --------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint_store.hh"
@@ -591,6 +592,171 @@ TEST(LoadSweep, ScenarioNamesWithCacheMetacharactersDie)
     }
 }
 
+// --------------------------------------------------------------------------
+// Engine golden: every resilience and fleet feature on fixed calibrations
+// --------------------------------------------------------------------------
+
+TEST(LoadEngineGolden, MixedClassFleetWithFaultsRetriesAndNodeCrash)
+{
+    // A 3-function weighted mix on a 4-node RISC-V + x86 fleet with the
+    // moderate fault preset, 3 attempts under a client timeout, the
+    // breaker, the autoscaler, a concurrency limit and one node crash.
+    // Calibrations are written straight into the cache, so the pins
+    // below depend on the event engine alone.
+    LoadScenario s;
+    s.name = "t-golden";
+    s.cluster = standaloneConfig(IsaId::Riscv);
+    const char *fns[] = {"fibonacci-go", "aes-go", "auth-go"};
+    const double weights[] = {3.0, 2.0, 1.0};
+    for (int m = 0; m < 3; ++m) {
+        const FunctionSpec spec = specFor(fns[m]);
+        s.mix.push_back(
+            {spec, &workloads::workloadImpl(spec.workload), weights[m]});
+    }
+    s.arrival.kind = ArrivalKind::Poisson;
+    s.arrival.ratePerSec = 4'000.0;
+    s.pool.maxInstances = 3;
+    s.pool.keepAliveNs = 20'000'000;
+    s.fault = defaultFaultPreset();
+    s.retry.maxAttempts = 3;
+    s.retry.timeoutNs = 6'000'000;
+    s.retry.backoffBaseNs = 200'000;
+    s.retry.backoffCapNs = 2'000'000;
+    s.breaker.enabled = true;
+    s.breaker.failureThreshold = 2;
+    s.breaker.openCooldownNs = 2'000'000;
+    NodeClass rv;
+    rv.name = "rv";
+    rv.watts = 5.0;
+    NodeClass x86 = NodeClass::forIsa("x86", IsaId::Cx86);
+    x86.speedFactor = 0.8;
+    x86.costPerHour = 2.0;
+    s.fleet.spec.groups = {{rv, 2}, {x86, 2}};
+    s.fleet.routing = RoutingPolicy::PowerOfTwo;
+    s.fleet.fnConcurrencyLimit = 10;
+    s.fleet.autoscaler.enabled = true;
+    s.fleet.autoscaler.minNodes = 1;
+    s.fleet.autoscaler.evalPeriodNs = 2'000'000;
+    s.fleet.autoscaler.targetInFlightPerNode = 2.0;
+    s.fleet.autoscaler.scaleUpLagNs = 1'000'000;
+    s.fleet.autoscaler.scaleDownIdleNs = 20'000'000;
+    NodeFaultEvent crash;
+    crash.node = 0;
+    crash.atNs = 150'000'000;
+    crash.durationNs = 50'000'000;
+    s.fleet.nodeFaults.push_back(crash);
+    s.invocations = 3'000;
+    s.seed = 0x901d;
+
+    TempCacheFile file("test_load_golden.csv");
+    {
+        ResultCache cache(file.path);
+        const std::vector<ClusterConfig> clusters =
+            calibrationClusters(s.cluster, s.fleet);
+        ASSERT_EQ(clusters.size(), 2u);
+        for (size_t g = 0; g < clusters.size(); ++g) {
+            for (size_t m = 0; m < s.mix.size(); ++m) {
+                LoadCalibration cal;
+                cal.name = s.mix[m].spec.name;
+                cal.coldNs = 2'500'000 + 300'000 * m + 900'000 * g;
+                for (unsigned k = 0; k < loadWarmSamples; ++k)
+                    cal.warmNs[k] = 180'000 + 20'000 * m + 60'000 * g +
+                                    5'000 * k;
+                cal.ok = true;
+                cache.recordLoadCal(clusters[g], s.mix[m].spec, cal);
+            }
+        }
+    }
+    ResultCache cache(file.path);
+    for (const ClusterConfig &c : calibrationClusters(s.cluster, s.fleet)) {
+        for (const LoadMixEntry &e : s.mix) {
+            LoadCalibration cal;
+            ASSERT_TRUE(cache.lookupLoadCal(c, e.spec, cal));
+        }
+    }
+    const LoadResult r = LoadRunner(cache).run(s);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.succeeded + r.failedInvocations + r.sheds, r.invocations);
+
+    const std::vector<std::pair<const char *, uint64_t>> got = {
+        {"coldStarts", r.coldStarts},
+        {"warmHits", r.warmHits},
+        {"evictions", r.evictions},
+        {"p50Ns", r.p50Ns},
+        {"p90Ns", r.p90Ns},
+        {"p99Ns", r.p99Ns},
+        {"p999Ns", r.p999Ns},
+        {"maxNs", r.maxNs},
+        {"throughputMrps", uint64_t(std::llround(r.throughputRps * 1e3))},
+        {"histoFingerprint", r.histoFingerprint},
+        {"succeeded", r.succeeded},
+        {"failedInvocations", r.failedInvocations},
+        {"sheds", r.sheds},
+        {"retries", r.retries},
+        {"crashes", r.crashes},
+        {"timeouts", r.timeouts},
+        {"coldStartFailures", r.coldStartFailures},
+        {"corruptRestores", r.corruptRestores},
+        {"stragglers", r.stragglers},
+        {"breakerOpens", r.breakerOpens},
+        {"goodP50Ns", r.goodP50Ns},
+        {"goodP99Ns", r.goodP99Ns},
+        {"errP99Ns", r.errP99Ns},
+        {"goodFingerprint", r.goodFingerprint},
+        {"nodes", r.nodes},
+        {"maxActiveNodes", r.maxActiveNodes},
+        {"throttles", r.throttles},
+        {"nodeFaults", r.nodeFaults},
+        {"utilPermil", uint64_t(std::llround(r.fleetUtilisation * 1e3))},
+        {"classes", r.classes},
+        {"fleetPowerMw", r.fleetPowerMw},
+        {"fleetCostMilli", r.fleetCostMilli},
+        {"classRouted0", r.classRouted.at(0)},
+        {"classRouted1", r.classRouted.at(1)},
+    };
+    const std::vector<std::pair<const char *, uint64_t>> want = {
+        {"coldStarts", 1401},
+        {"warmHits", 1393},
+        {"evictions", 1390},
+        {"p50Ns", 1572863},
+        {"p90Ns", 5373951},
+        {"p99Ns", 12582911},
+        {"p999Ns", 18350079},
+        {"maxNs", 18613576},
+        {"throughputMrps", 4018844},
+        {"histoFingerprint", 3166857477476362357ull},
+        {"succeeded", 2443},
+        {"failedInvocations", 3},
+        {"sheds", 554},
+        {"retries", 348},
+        {"crashes", 34},
+        {"timeouts", 253},
+        {"coldStartFailures", 81},
+        {"corruptRestores", 30},
+        {"stragglers", 141},
+        {"breakerOpens", 77},
+        {"goodP50Ns", 2555903},
+        {"goodP99Ns", 10747903},
+        {"errP99Ns", 12845055},
+        {"goodFingerprint", 12682184256517164640ull},
+        {"nodes", 4},
+        {"maxActiveNodes", 4},
+        {"throttles", 63},
+        {"nodeFaults", 1},
+        {"utilPermil", 654},
+        {"classes", 2},
+        {"fleetPowerMw", 12000},
+        {"fleetCostMilli", 6000},
+        {"classRouted0", 1443},
+        {"classRouted1", 1351},
+    };
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_STREQ(got[i].first, want[i].first);
+        EXPECT_EQ(got[i].second, want[i].second) << got[i].first;
+    }
+}
+
 TEST(LoadResultGuards, ZeroSpanReportsZeroNotInfOrNan)
 {
     // throughputRps and the utilisation shares divide by the simulated
@@ -632,7 +798,7 @@ TEST(ResultCacheSchema, UnknownModeRowsAreSkippedNotMisparsed)
     // The unknown-mode row must not satisfy any lookup.
     std::map<std::string, uint64_t> row;
     EXPECT_FALSE(
-        cache.lookupLoadRow("riscv64,cassandra,00,fib,futuremode", row));
+        cache.lookupRow("riscv64,cassandra,00,fib,futuremode", row));
 }
 
 TEST(ResultCacheSchema, StaleVersionRowsAreSkipped)
