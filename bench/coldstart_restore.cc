@@ -207,7 +207,7 @@ main()
     std::vector<std::map<std::string, uint64_t>> rows;
     for (const Cell &cell : cells) {
         const std::string key =
-            cache.coldRestoreKey(cellConfig(cell), scenarioName(cell));
+            cache.rowKey(cellConfig(cell), scenarioName(cell), "coldrs");
         std::map<std::string, uint64_t> row;
         if (!cache.lookupRow(key, row)) {
             row = measureCell(cell);

@@ -18,14 +18,15 @@ main()
     std::vector<report::Row> rows;
     for (const FunctionSpec &spec : workloads::hotelSuite()) {
         const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
-        const EmuResult cass = cache.emulated(
-            benchutil::chapter4Config(IsaId::Cx86, true,
-                                      db::DbKind::Cassandra),
-            spec, impl);
-        const EmuResult mongo = cache.emulated(
-            benchutil::chapter4Config(IsaId::Cx86, true,
-                                      db::DbKind::Mongo),
-            spec, impl);
+        const EmuResult cass = std::get<EmuResult>(cache.run(
+            {RunMode::Emu, spec, &impl,
+             benchutil::chapter4Config(IsaId::Cx86, true,
+                                       db::DbKind::Cassandra),
+             {}}));
+        const EmuResult mongo = std::get<EmuResult>(cache.run(
+            {RunMode::Emu, spec, &impl,
+             benchutil::chapter4Config(IsaId::Cx86, true, db::DbKind::Mongo),
+             {}}));
         rows.push_back({spec.name,
                         {double(cass.coldNs), double(cass.warmNs),
                          double(mongo.coldNs), double(mongo.warmNs)}});

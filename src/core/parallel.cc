@@ -97,70 +97,37 @@ ThreadPool::workerLoop()
     }
 }
 
+std::vector<RunResult>
+sweepRuns(ResultCache &cache, const std::vector<RunSpec> &runs,
+          unsigned jobs_override)
+{
+    std::vector<std::string> keys, groups;
+    for (const RunSpec &rs : runs) {
+        svb_assert(rs.mode != RunMode::Lukewarm,
+                   "sweepRuns: lukewarm runs are not cacheable");
+        keys.push_back(
+            cache.rowKey(rs.platform, rs.spec.name, runModeName(rs.mode)));
+        groups.push_back(CheckpointStore::fingerprint(rs.platform, rs.spec));
+    }
+    return memoisedSweep<RunResult>(
+        cache, keys, groups, [&](size_t i) { announceRun(runs[i]); },
+        [&](size_t i) { return cache.compute(runs[i]); }, packRunResult,
+        [&](size_t i, const std::map<std::string, uint64_t> &row) {
+            return unpackRunResult(runs[i].mode, runs[i].spec.name, row);
+        },
+        jobs_override);
+}
+
 std::vector<FunctionResult>
 parallelSweep(ResultCache &cache, const std::vector<SweepJob> &jobs,
               unsigned jobs_override)
 {
-    std::vector<FunctionResult> results(jobs.size());
-
-    // Partition into cache hits (answered inline), primary misses
-    // (one per distinct cache key; these run on the pool) and
-    // duplicate misses (same key as an earlier job; resolved from the
-    // primary's result, exactly as a serial sweep would hit the row
-    // the primary just recorded).
-    std::map<std::string, size_t> primaryForKey;
-    std::vector<size_t> primaries;
-    std::vector<char> isHit(jobs.size(), 0);
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        if (cache.lookupDetailed(jobs[i].cfg, jobs[i].spec, results[i])) {
-            isHit[i] = 1;
-            continue;
-        }
-        const std::string key = cache.detailedKey(jobs[i].cfg, jobs[i].spec);
-        if (primaryForKey.emplace(key, i).second)
-            primaries.push_back(i);
-    }
-
-    if (!primaries.empty()) {
-        // One task per prepared-state checkpoint key, not per job:
-        // jobs sharing a key run sequentially on one worker, so the
-        // tuple's expensive setup happens exactly once and groupmates
-        // restore from the snapshot it just published, instead of
-        // blocking in the store's claim/wait on other threads.
-        std::map<std::string, std::vector<size_t>> groups;
-        std::vector<const std::vector<size_t> *> groupOrder;
-        for (size_t idx : primaries) {
-            const std::string ck =
-                cache.checkpointKeyOf(jobs[idx].cfg, jobs[idx].spec);
-            auto [it, inserted] = groups.try_emplace(ck);
-            if (inserted)
-                groupOrder.push_back(&it->second);
-            it->second.push_back(idx);
-        }
-        ThreadPool pool(jobs_override);
-        for (const std::vector<size_t> *members : groupOrder) {
-            pool.submit([&cache, &jobs, &results, members] {
-                for (size_t idx : *members)
-                    results[idx] = cache.computeDetailed(
-                        jobs[idx].cfg, jobs[idx].spec, *jobs[idx].impl);
-            });
-        }
-        pool.wait();
-        // Single-writer CSV append, in submission order: the cache
-        // file is byte-identical to what a serial sweep writes.
-        for (size_t idx : primaries)
-            cache.recordDetailed(jobs[idx].cfg, jobs[idx].spec,
-                                 results[idx]);
-    }
-
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        if (isHit[i])
-            continue;
-        const std::string key = cache.detailedKey(jobs[i].cfg, jobs[i].spec);
-        const size_t primary = primaryForKey.at(key);
-        if (primary != i)
-            results[i] = results[primary];
-    }
+    std::vector<RunSpec> runs;
+    for (const SweepJob &job : jobs)
+        runs.push_back({RunMode::Detailed, job.spec, job.impl, job.cfg, {}});
+    std::vector<FunctionResult> results;
+    for (RunResult &res : sweepRuns(cache, runs, jobs_override))
+        results.push_back(std::move(std::get<FunctionResult>(res)));
     return results;
 }
 

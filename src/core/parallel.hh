@@ -11,6 +11,13 @@
  * tables and the CSV result cache are byte-identical to a serial run
  * regardless of completion order.
  *
+ * memoisedSweep() is the one memoised batch loop: look up hits,
+ * dedupe misses by row key, announce the misses, compute them on the
+ * pool, record them in submission order and copy duplicates. Every
+ * cached sweep goes through it: sweepRuns() and parallelSweep() for
+ * RunSpec rows, and the load/workflow scenario sweeps
+ * (load/timeline.hh) for calibrations and scenario rows.
+ *
  * Worker count comes from the SVBENCH_JOBS environment variable
  * (default: hardware_concurrency). SVBENCH_JOBS=1 degrades to the
  * serial behaviour.
@@ -22,7 +29,9 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -90,14 +99,94 @@ struct SweepJob
 };
 
 /**
- * Run every job through the ResultCache across the pool.
+ * The one memoised batch over cache rows. Item i is the row
+ * @p keys[i]; a hit is unpacked with @p unpack(i, row). Misses are
+ * deduplicated by key (the first item of a key is its primary) and
+ * grouped by @p groups[i], or one group per primary when @p groups is
+ * empty. Every primary is announced from the calling thread with
+ * @p announce(i), in group order and then member order — the order a
+ * one-worker pool computes them — before any work is fanned out, so
+ * progress lines never race. Each group then runs as one pool task
+ * that calls @p compute(i) for its members in order, and the calling
+ * thread records every primary's @p pack(result) in submission order,
+ * so the CSV is byte-identical to a serial sweep. Duplicates get
+ * their primary's result, exactly as a serial sweep would hit the row
+ * the primary just recorded. @p compute must be safe to call
+ * concurrently from several workers.
  *
- * Cache hits are answered inline. Misses are deduplicated by cache
- * key, computed concurrently on worker threads (each worker builds
- * its own ExperimentRunner / ServerlessCluster via the cache's
- * per-thread runner table), and then *recorded in submission order*
- * from the calling thread — the CSV backing file ends up
- * byte-identical to a serial sweep of the same job list.
+ * @param jobs_override worker count; 0 selects ThreadPool::defaultJobs()
+ * @return one result per item, in submission order
+ */
+template <class Result, class Announce, class Compute, class Pack,
+          class Unpack>
+std::vector<Result>
+memoisedSweep(ResultCache &cache, const std::vector<std::string> &keys,
+              const std::vector<std::string> &groups, Announce &&announce,
+              Compute &&compute, Pack &&pack, Unpack &&unpack,
+              unsigned jobs_override = 0)
+{
+    std::vector<Result> results(keys.size());
+    std::map<std::string, size_t> primaryForKey;
+    std::vector<size_t> primaries;
+    for (size_t i = 0; i < keys.size(); ++i) {
+        std::map<std::string, uint64_t> row;
+        if (cache.lookupRow(keys[i], row))
+            results[i] = unpack(i, row);
+        else if (primaryForKey.emplace(keys[i], i).second)
+            primaries.push_back(i);
+    }
+
+    if (!primaries.empty()) {
+        std::map<std::string, std::vector<size_t>> members;
+        std::vector<const std::vector<size_t> *> order;
+        for (size_t i : primaries) {
+            auto [it, inserted] =
+                members.try_emplace(groups.empty() ? keys[i] : groups[i]);
+            if (inserted)
+                order.push_back(&it->second);
+            it->second.push_back(i);
+        }
+        for (const std::vector<size_t> *group : order)
+            for (size_t i : *group)
+                announce(i);
+        ThreadPool pool(jobs_override);
+        for (const std::vector<size_t> *group : order) {
+            pool.submit([&results, &compute, group] {
+                for (size_t i : *group)
+                    results[i] = compute(i);
+            });
+        }
+        pool.wait();
+        for (size_t i : primaries)
+            cache.recordRow(keys[i], pack(results[i]));
+    }
+
+    for (size_t i = 0; i < keys.size(); ++i) {
+        const auto it = primaryForKey.find(keys[i]);
+        if (it != primaryForKey.end() && it->second != i)
+            results[i] = results[it->second];
+    }
+    return results;
+}
+
+/**
+ * memoisedSweep() over RunSpec rows (any mode but Lukewarm, which is
+ * not cacheable): rows are keyed by rowKey(platform, spec name, mode
+ * tag), announced with announceRun() and computed on each worker's
+ * own runner through ResultCache::compute(). Misses are grouped by
+ * their CheckpointStore fingerprint, so each prepared tuple is set up
+ * by exactly one worker and its groupmates restore the snapshot it
+ * publishes instead of blocking in the store's claim/wait.
+ */
+std::vector<RunResult> sweepRuns(ResultCache &cache,
+                                 const std::vector<RunSpec> &runs,
+                                 unsigned jobs_override = 0);
+
+/**
+ * Run every job's detailed experiment through the ResultCache across
+ * the pool: sweepRuns() of detailed RunSpecs. Each worker builds its
+ * own ExperimentRunner / ServerlessCluster via the cache's per-thread
+ * runner table.
  *
  * @param jobs_override worker count; 0 selects ThreadPool::defaultJobs()
  * @return one FunctionResult per job, in submission order
@@ -116,11 +205,9 @@ std::vector<FunctionResult>
 parallelRun(const std::vector<SweepJob> &jobs, unsigned jobs_override = 0);
 
 /**
- * The submission-order merge that parallelSweep applies to
- * experiments, generalised to any indexed computation: run
- * @p compute(i) for every i in [0, n) across the pool and return the
- * results in index order, regardless of completion order. The load
- * subsystem's scenario sweep is the main client. @p compute must be
+ * The submission-order merge without the cache: run @p compute(i)
+ * for every i in [0, n) across the pool and return the results in
+ * index order, regardless of completion order. @p compute must be
  * safe to call concurrently from multiple workers; determinism of
  * each result is the callee's responsibility.
  */

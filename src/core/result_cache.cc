@@ -221,7 +221,6 @@ packResult(const FunctionResult &res)
     for (const auto &[k, v] : packStats(res.warm, "warm."))
         fields[k] = v;
     fields["ok"] = res.ok ? 1 : 0;
-    fields["v"] = modeSchemaVersion("o3");
     return fields;
 }
 
@@ -233,7 +232,6 @@ packLoadCal(const LoadCalibration &cal)
     for (unsigned k = 0; k < loadWarmSamples; ++k)
         fields["warm" + std::to_string(k) + "Ns"] = cal.warmNs[k];
     fields["ok"] = cal.ok ? 1 : 0;
-    fields["v"] = modeSchemaVersion("ldcal");
     return fields;
 }
 
@@ -267,8 +265,7 @@ packEmu(const EmuResult &res)
 {
     return {{"coldNs", res.coldNs},
             {"warmNs", res.warmNs},
-            {"ok", res.ok ? 1u : 0u},
-            {"v", modeSchemaVersion("emu")}};
+            {"ok", res.ok ? 1u : 0u}};
 }
 
 EmuResult
@@ -281,36 +278,6 @@ unpackEmu(const std::string &name,
     res.coldNs = fields.at("coldNs");
     res.warmNs = fields.at("warmNs");
     return res;
-}
-
-/** Serialise whichever result the variant holds under its schema. */
-std::map<std::string, uint64_t>
-packRunResult(const RunResult &res)
-{
-    if (const auto *fr = std::get_if<FunctionResult>(&res))
-        return packResult(*fr);
-    if (const auto *er = std::get_if<EmuResult>(&res))
-        return packEmu(*er);
-    if (const auto *lc = std::get_if<LoadCalibration>(&res))
-        return packLoadCal(*lc);
-    svb_fatal("packRunResult: lukewarm results are not cacheable");
-}
-
-RunResult
-unpackRunResult(RunMode mode, const std::string &name,
-                const std::map<std::string, uint64_t> &fields)
-{
-    switch (mode) {
-      case RunMode::Detailed:
-        return unpackResult(name, fields);
-      case RunMode::Emu:
-        return unpackEmu(name, fields);
-      case RunMode::LoadCal:
-        return unpackLoadCal(name, fields);
-      case RunMode::Lukewarm:
-        break;
-    }
-    svb_fatal("unpackRunResult: lukewarm rows do not exist");
 }
 
 bool
@@ -351,6 +318,56 @@ rowComplete(const std::string &key,
 }
 
 } // namespace
+
+std::map<std::string, uint64_t>
+packRunResult(const RunResult &res)
+{
+    if (const auto *fr = std::get_if<FunctionResult>(&res))
+        return packResult(*fr);
+    if (const auto *er = std::get_if<EmuResult>(&res))
+        return packEmu(*er);
+    if (const auto *lc = std::get_if<LoadCalibration>(&res))
+        return packLoadCal(*lc);
+    svb_fatal("packRunResult: lukewarm results are not cacheable");
+}
+
+RunResult
+unpackRunResult(RunMode mode, const std::string &name,
+                const std::map<std::string, uint64_t> &row)
+{
+    switch (mode) {
+      case RunMode::Detailed:
+        return unpackResult(name, row);
+      case RunMode::Emu:
+        return unpackEmu(name, row);
+      case RunMode::LoadCal:
+        return unpackLoadCal(name, row);
+      case RunMode::Lukewarm:
+        break;
+    }
+    svb_fatal("unpackRunResult: lukewarm rows do not exist");
+}
+
+void
+announceRun(const RunSpec &rs)
+{
+    const char *isa = isaName(rs.platform.system.isa);
+    switch (rs.mode) {
+      case RunMode::Detailed:
+        inform("measuring ", rs.spec.name, " on ", isa,
+               " (detailed O3, cold+warm)...");
+        break;
+      case RunMode::Emu:
+        inform("measuring ", rs.spec.name, " on ", isa, " (emulation)...");
+        break;
+      case RunMode::LoadCal:
+        inform("calibrating ", rs.spec.name, " on ", isa,
+               " for load (cold + ", loadWarmSamples, " warm samples)...");
+        break;
+      case RunMode::Lukewarm:
+        break;
+    }
+}
 
 namespace
 {
@@ -455,28 +472,16 @@ ResultCache::appendLocked(const std::string &key,
 }
 
 std::string
-ResultCache::keyOf(const ClusterConfig &cfg, const FunctionSpec &spec,
-                   const std::string &mode) const
+ResultCache::rowKey(const ClusterConfig &cfg, const std::string &name,
+                    const std::string &modeTag) const
 {
+    svb_assert(name.find_first_of(",|=") == std::string::npos,
+               "row name contains a CSV metacharacter");
     std::ostringstream os;
     os << platformTag(cfg) << "," << db::dbKindName(cfg.dbKind) << ","
        << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
-       << spec.name << "," << mode;
+       << name << "," << modeTag;
     return os.str();
-}
-
-std::string
-ResultCache::detailedKey(const ClusterConfig &cfg,
-                         const FunctionSpec &spec) const
-{
-    return keyOf(cfg, spec, "o3");
-}
-
-std::string
-ResultCache::checkpointKeyOf(const ClusterConfig &cfg,
-                             const FunctionSpec &spec) const
-{
-    return CheckpointStore::fingerprint(cfg, spec);
 }
 
 ExperimentRunner &
@@ -508,56 +513,23 @@ ResultCache::runnerFor(const ClusterConfig &cfg)
     return *slot;
 }
 
-bool
-ResultCache::lookupDetailed(const ClusterConfig &cfg,
-                            const FunctionSpec &spec, FunctionResult &out)
+RunResult
+ResultCache::compute(const RunSpec &rs)
 {
-    const std::string key = detailedKey(cfg, spec);
-    std::lock_guard<std::mutex> lk(mtx);
-    auto it = rows.find(key);
-    if (it == rows.end() || !it->second.count("ok"))
-        return false;
-    out = unpackResult(spec.name, it->second);
-    return true;
-}
-
-FunctionResult
-ResultCache::computeDetailed(const ClusterConfig &cfg,
-                             const FunctionSpec &spec,
-                             const WorkloadImpl &impl)
-{
-    inform("measuring ", spec.name, " on ", isaName(cfg.system.isa),
-           " (detailed O3, cold+warm)...");
-    return runnerFor(cfg).runFunction(spec, impl);
-}
-
-void
-ResultCache::recordDetailed(const ClusterConfig &cfg,
-                            const FunctionSpec &spec,
-                            const FunctionResult &res)
-{
-    const std::string key = detailedKey(cfg, spec);
-    std::lock_guard<std::mutex> lk(mtx);
-    appendLocked(key, packResult(res));
-}
-
-std::string
-ResultCache::rowKey(const ClusterConfig &cfg, const FunctionSpec &spec,
-                    RunMode mode) const
-{
-    return keyOf(cfg, spec, runModeName(mode));
+    svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
+    return runnerFor(rs.platform).run(rs);
 }
 
 RunResult
 ResultCache::run(const RunSpec &rs)
 {
-    svb_assert(rs.impl != nullptr, "RunSpec without a workload impl");
     // Lukewarm results are keyed by an interferer the row key cannot
     // carry; they always execute.
     if (rs.mode == RunMode::Lukewarm)
-        return runnerFor(rs.platform).run(rs);
+        return compute(rs);
 
-    const std::string key = rowKey(rs.platform, rs.spec, rs.mode);
+    const std::string key =
+        rowKey(rs.platform, rs.spec.name, runModeName(rs.mode));
     {
         std::unique_lock<std::mutex> lk(mtx);
         for (;;) {
@@ -573,149 +545,15 @@ ResultCache::run(const RunSpec &rs)
         pending.insert(key);
     }
 
-    switch (rs.mode) {
-      case RunMode::Detailed:
-        inform("measuring ", rs.spec.name, " on ",
-               isaName(rs.platform.system.isa),
-               " (detailed O3, cold+warm)...");
-        break;
-      case RunMode::Emu:
-        inform("measuring ", rs.spec.name, " on ",
-               isaName(rs.platform.system.isa), " (emulation)...");
-        break;
-      case RunMode::LoadCal:
-        inform("calibrating ", rs.spec.name, " on ",
-               isaName(rs.platform.system.isa), " for load (cold + ",
-               loadWarmSamples, " warm samples)...");
-        break;
-      case RunMode::Lukewarm:
-        break;
-    }
-    const RunResult res = runnerFor(rs.platform).run(rs);
-
+    announceRun(rs);
+    const RunResult res = compute(rs);
+    recordRow(key, packRunResult(res));
     {
         std::lock_guard<std::mutex> lk(mtx);
-        appendLocked(key, packRunResult(res));
         pending.erase(key);
     }
     pendingCv.notify_all();
     return res;
-}
-
-FunctionResult
-ResultCache::detailed(const ClusterConfig &cfg, const FunctionSpec &spec,
-                      const WorkloadImpl &impl)
-{
-    RunSpec rs;
-    rs.mode = RunMode::Detailed;
-    rs.spec = spec;
-    rs.impl = &impl;
-    rs.platform = cfg;
-    return std::get<FunctionResult>(run(rs));
-}
-
-EmuResult
-ResultCache::emulated(const ClusterConfig &cfg, const FunctionSpec &spec,
-                      const WorkloadImpl &impl)
-{
-    RunSpec rs;
-    rs.mode = RunMode::Emu;
-    rs.spec = spec;
-    rs.impl = &impl;
-    rs.platform = cfg;
-    return std::get<EmuResult>(run(rs));
-}
-
-std::string
-ResultCache::loadCalKey(const ClusterConfig &cfg,
-                        const FunctionSpec &spec) const
-{
-    return keyOf(cfg, spec, "ldcal");
-}
-
-bool
-ResultCache::lookupLoadCal(const ClusterConfig &cfg,
-                           const FunctionSpec &spec, LoadCalibration &out)
-{
-    const std::string key = keyOf(cfg, spec, "ldcal");
-    std::lock_guard<std::mutex> lk(mtx);
-    auto it = rows.find(key);
-    if (it == rows.end() || !it->second.count("ok"))
-        return false;
-    out = unpackLoadCal(spec.name, it->second);
-    return true;
-}
-
-LoadCalibration
-ResultCache::computeLoadCal(const ClusterConfig &cfg,
-                            const FunctionSpec &spec,
-                            const WorkloadImpl &impl)
-{
-    inform("calibrating ", spec.name, " on ", isaName(cfg.system.isa),
-           " for load (cold + ", loadWarmSamples, " warm samples)...");
-    return runnerFor(cfg).runLoadCalibration(spec, impl);
-}
-
-void
-ResultCache::recordLoadCal(const ClusterConfig &cfg,
-                           const FunctionSpec &spec,
-                           const LoadCalibration &cal)
-{
-    const std::string key = keyOf(cfg, spec, "ldcal");
-    std::lock_guard<std::mutex> lk(mtx);
-    appendLocked(key, packLoadCal(cal));
-}
-
-LoadCalibration
-ResultCache::loadCalibration(const ClusterConfig &cfg,
-                             const FunctionSpec &spec,
-                             const WorkloadImpl &impl)
-{
-    RunSpec rs;
-    rs.mode = RunMode::LoadCal;
-    rs.spec = spec;
-    rs.impl = &impl;
-    rs.platform = cfg;
-    return std::get<LoadCalibration>(run(rs));
-}
-
-std::string
-ResultCache::loadKey(const ClusterConfig &cfg,
-                     const std::string &scenario) const
-{
-    svb_assert(scenario.find_first_of(",|=") == std::string::npos,
-               "scenario name contains a CSV metacharacter");
-    std::ostringstream os;
-    os << platformTag(cfg) << "," << db::dbKindName(cfg.dbKind) << ","
-       << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
-       << scenario << ",load";
-    return os.str();
-}
-
-std::string
-ResultCache::workflowKey(const ClusterConfig &cfg,
-                         const std::string &scenario) const
-{
-    svb_assert(scenario.find_first_of(",|=") == std::string::npos,
-               "scenario name contains a CSV metacharacter");
-    std::ostringstream os;
-    os << platformTag(cfg) << "," << db::dbKindName(cfg.dbKind) << ","
-       << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
-       << scenario << ",wflow";
-    return os.str();
-}
-
-std::string
-ResultCache::coldRestoreKey(const ClusterConfig &cfg,
-                            const std::string &scenario) const
-{
-    svb_assert(scenario.find_first_of(",|=") == std::string::npos,
-               "scenario name contains a CSV metacharacter");
-    std::ostringstream os;
-    os << platformTag(cfg) << "," << db::dbKindName(cfg.dbKind) << ","
-       << (cfg.startDb ? 1 : 0) << (cfg.startMemcached ? 1 : 0) << ","
-       << scenario << ",coldrs";
-    return os.str();
 }
 
 bool
@@ -740,6 +578,50 @@ ResultCache::recordRow(const std::string &key,
                "row does not match its mode's schema");
     std::lock_guard<std::mutex> lk(mtx);
     appendLocked(key, row);
+}
+
+bool
+ResultCache::lookupDetailed(const ClusterConfig &cfg,
+                            const FunctionSpec &spec, FunctionResult &out)
+{
+    std::map<std::string, uint64_t> row;
+    if (!lookupRow(rowKey(cfg, spec.name, "o3"), row))
+        return false;
+    out = unpackResult(spec.name, row);
+    return true;
+}
+
+FunctionResult
+ResultCache::computeDetailed(const ClusterConfig &cfg,
+                             const FunctionSpec &spec,
+                             const WorkloadImpl &impl)
+{
+    return std::get<FunctionResult>(
+        compute({RunMode::Detailed, spec, &impl, cfg, {}}));
+}
+
+void
+ResultCache::recordDetailed(const ClusterConfig &cfg,
+                            const FunctionSpec &spec,
+                            const FunctionResult &res)
+{
+    recordRow(rowKey(cfg, spec.name, "o3"), packResult(res));
+}
+
+LoadCalibration
+ResultCache::loadCalibration(const ClusterConfig &cfg,
+                             const FunctionSpec &spec,
+                             const WorkloadImpl &impl)
+{
+    return std::get<LoadCalibration>(
+        run({RunMode::LoadCal, spec, &impl, cfg, {}}));
+}
+
+std::string
+ResultCache::checkpointKeyOf(const ClusterConfig &cfg,
+                             const FunctionSpec &spec) const
+{
+    return CheckpointStore::fingerprint(cfg, spec);
 }
 
 void

@@ -3,30 +3,42 @@
  * On-disk memoisation of experiment results.
  *
  * The figures of Chapter 4 reuse each other's measurements (e.g.,
- * Figs 4.15-4.18 replot the data of Figs 4.4 and 4.12). Simulation is
- * bit-deterministic, so results are cached in a CSV file keyed by
- * (ISA, database, function, mode); every bench binary transparently
- * shares it. Delete the file (or set SVBENCH_FRESH=1) to re-measure.
+ * Figs 4.15-4.18 replot the data of Figs 4.4 and 4.12), and the load
+ * and workflow studies reuse calibrations. Simulation is
+ * bit-deterministic, so results are cached in a CSV file; every bench
+ * binary transparently shares it. Delete the file (or set
+ * SVBENCH_FRESH=1) to re-measure.
  *
  * Backing file location: SVBENCH_RESULTS when set, otherwise
  * build/svbench_results.csv under the working directory (machine
  * output never lands at the repo root).
  *
+ * One row identity: every row, an experiment result, a calibration
+ * or a scenario summary alike, is keyed by rowKey(cluster, name,
+ * mode tag) and travels through lookupRow()/recordRow(). run() is
+ * the memoising entry point for RunSpec rows and compute() its
+ * uncached half; memoisedSweep() (parallel.hh) is the one batch
+ * primitive over those rows. The detailed-row and calibration
+ * forwards at the end of the class exist only because the frozen
+ * benchmark harness (perfbench/) spells its sweeps with them.
+ *
  * Row modes and schemas: each row's key ends in a mode tag ("o3",
- * "emu", "ldcal", "load", "wflow", "coldrs") and each mode is described by a RowSchema
- * descriptor (tag, version, field set) — the single source of truth
- * for the "v" version stamp and for completeness validation. Loading
- * a row whose mode is unknown or whose version does not match warns
- * and skips it (the row is re-measured) instead of silently
- * misparsing fields written by a different tool generation.
+ * "emu", "ldcal", "load", "wflow", "coldrs") and each mode is
+ * described by a RowSchema descriptor (tag, version, field set) — the
+ * single source of truth for the "v" version stamp and for
+ * completeness validation. Loading a row whose mode is unknown or
+ * whose version does not match warns and skips it (the row is
+ * re-measured) instead of silently misparsing fields written by a
+ * different tool generation.
  *
  * Thread-safety: every public member may be called concurrently. The
- * row map and CSV append are guarded by one mutex; a "pending" set
- * plus condition variable guarantees that two threads asking for the
- * same key never duplicate a simulation (the second waits for the
- * first's row). Runners are constructed per (configuration, calling
- * thread), never shared across threads — an ExperimentRunner owns a
- * whole ServerlessCluster and is not itself thread-safe.
+ * row map and CSV append are guarded by one mutex; in run(), a
+ * "pending" set plus condition variable guarantees that two threads
+ * asking for the same key never duplicate a simulation (the second
+ * waits for the first's row). Runners are constructed per
+ * (configuration, calling thread), never shared across threads — an
+ * ExperimentRunner owns a whole ServerlessCluster and is not itself
+ * thread-safe.
  */
 
 #ifndef SVB_CORE_RESULT_CACHE_HH
@@ -68,7 +80,32 @@ struct RowSchema
 };
 
 /**
- * Lazily-populated store of detailed and emulation results.
+ * Serialise whichever result the variant holds under its mode's row
+ * schema (without the "v" stamp, which recordRow() adds). Lukewarm
+ * results are not cacheable.
+ */
+std::map<std::string, uint64_t> packRunResult(const RunResult &res);
+
+/** The inverse of packRunResult() for a schema-validated row of
+ *  @p mode, naming the result @p name. */
+RunResult unpackRunResult(RunMode mode, const std::string &name,
+                          const std::map<std::string, uint64_t> &row);
+
+/**
+ * Print the "info: measuring/calibrating ..." progress line of a
+ * cache miss about to be computed. The one per-mode progress switch:
+ * ResultCache::run() calls it before computing, and the memoised
+ * sweeps (parallel.hh) call it from the calling thread for every
+ * miss before fanning out, so the lines never race.
+ */
+void announceRun(const RunSpec &rs);
+
+/**
+ * Lazily-populated store of experiment and scenario rows.
+ *
+ * Every row, whatever its mode, is addressed by rowKey() and travels
+ * through lookupRow()/recordRow(); run() is the memoising entry point
+ * for RunSpec rows and compute() its uncached half.
  */
 class ResultCache
 {
@@ -81,18 +118,29 @@ class ResultCache
     explicit ResultCache(std::string path = "");
 
     /**
-     * The unified cache-aware entry point: fetch the row for @p rs
-     * (keyed by rs.platform, rs.spec and the mode tag), or run it on
-     * this thread's runner and record the row. Lukewarm runs are not
-     * cached (their identity includes the interferer, which the key
-     * does not carry) and always execute. The legacy per-mode methods
-     * below are thin wrappers over this.
+     * The cache-aware entry point: fetch the row for @p rs (keyed by
+     * rs.platform, rs.spec.name and the mode tag), or announce it, run
+     * it on this thread's runner and record the row. Lukewarm runs are
+     * not cached (their identity includes the interferer, which the
+     * key does not carry) and always execute.
      */
     RunResult run(const RunSpec &rs);
 
-    /** The CSV row key of (@p cfg, @p spec) under @p mode. */
-    std::string rowKey(const ClusterConfig &cfg, const FunctionSpec &spec,
-                       RunMode mode) const;
+    /**
+     * Run @p rs on this thread's runner for rs.platform WITHOUT
+     * looking up, announcing or recording the row: the split-phase
+     * half the memoised sweeps fan out across workers.
+     */
+    RunResult compute(const RunSpec &rs);
+
+    /**
+     * The CSV row key of @p name on @p cfg under row mode @p modeTag
+     * ("o3", "emu", "ldcal", "load", "wflow", "coldrs"). @p name is a
+     * function or scenario name and must not contain the CSV
+     * metacharacters ',', '|' or '='.
+     */
+    std::string rowKey(const ClusterConfig &cfg, const std::string &name,
+                       const std::string &modeTag) const;
 
     /** @return true and fill @p out when @p key has a complete row. */
     bool lookupRow(const std::string &key,
@@ -106,112 +154,36 @@ class ResultCache
     void recordRow(const std::string &key,
                    const std::map<std::string, uint64_t> &fields);
 
-    /**
-     * Fetch (or run and record) the detailed cold/warm result for
-     * @p spec on a cluster configured by @p cfg.
-     */
-    FunctionResult detailed(const ClusterConfig &cfg,
-                            const FunctionSpec &spec,
-                            const WorkloadImpl &impl);
+    /** Forget everything (and remove the backing file). */
+    void clear();
 
-    /** Fetch (or run and record) the emulation-mode result. */
-    EmuResult emulated(const ClusterConfig &cfg, const FunctionSpec &spec,
-                       const WorkloadImpl &impl);
+    // --- pinned by perfbench/ until the next benchmark change -----------
+    // The frozen benchmark harness spells its traced sweep and its
+    // calibrations with these; each only forwards to the API above.
 
-    // --- split-phase API for the parallel scheduler ----------------------
-    // parallelSweep() computes misses concurrently but records them in
-    // submission order, keeping the CSV byte-identical to a serial
-    // sweep; hence lookup, compute and record are exposed separately.
-
-    /** @return true and fill @p out when the detailed row is cached. */
+    /** lookupRow() of the detailed ("o3") row, unpacked. */
     bool lookupDetailed(const ClusterConfig &cfg, const FunctionSpec &spec,
                         FunctionResult &out);
 
-    /**
-     * Run the detailed experiment on this thread's runner for @p cfg
-     * WITHOUT recording the row (the caller will recordDetailed()).
-     */
+    /** compute() of a detailed RunSpec. */
     FunctionResult computeDetailed(const ClusterConfig &cfg,
                                    const FunctionSpec &spec,
                                    const WorkloadImpl &impl);
 
-    /** Store @p res in the row map and append it to the CSV file. */
+    /** recordRow() of a detailed result. */
     void recordDetailed(const ClusterConfig &cfg, const FunctionSpec &spec,
                         const FunctionResult &res);
 
-    /** The row key of the detailed result for (@p cfg, @p spec). */
-    std::string detailedKey(const ClusterConfig &cfg,
-                            const FunctionSpec &spec) const;
-
-    /**
-     * The CheckpointStore fingerprint of (@p cfg, @p spec)'s prepared
-     * state. parallelSweep() groups jobs by this key so each prepared
-     * tuple is set up by exactly one worker and shared by the rest.
-     */
-    std::string checkpointKeyOf(const ClusterConfig &cfg,
-                                const FunctionSpec &spec) const;
-
-    // --- load-calibration rows (mode "ldcal") ----------------------------
-    // Same split-phase shape as the detailed API, used by
-    // load::loadSweep() to calibrate service times in submission
-    // order before the scenario simulations run.
-
-    /** Fetch (or run and record) the load calibration; blocking. */
+    /** run() of a load-calibration RunSpec. */
     LoadCalibration loadCalibration(const ClusterConfig &cfg,
                                     const FunctionSpec &spec,
                                     const WorkloadImpl &impl);
 
-    /** @return true and fill @p out when the calibration is cached. */
-    bool lookupLoadCal(const ClusterConfig &cfg, const FunctionSpec &spec,
-                       LoadCalibration &out);
-
-    /** Run the calibration on this thread's runner, no recording. */
-    LoadCalibration computeLoadCal(const ClusterConfig &cfg,
-                                   const FunctionSpec &spec,
-                                   const WorkloadImpl &impl);
-
-    /** Store @p cal in the row map and append it to the CSV file. */
-    void recordLoadCal(const ClusterConfig &cfg, const FunctionSpec &spec,
-                       const LoadCalibration &cal);
-
-    /** The row key of the load calibration for (@p cfg, @p spec). */
-    std::string loadCalKey(const ClusterConfig &cfg,
-                           const FunctionSpec &spec) const;
-
-    // --- load-scenario summary rows (mode "load") ------------------------
-    // The load subsystem owns the semantics of these fields; rows
-    // travel through the generic lookupRow()/recordRow() pair, and the
-    // cache validates the schema (field set + version) on load.
-
-    /** Key of a load-scenario row. @p scenario must not contain the
-     *  CSV metacharacters ',', '|' or '='. */
-    std::string loadKey(const ClusterConfig &cfg,
-                        const std::string &scenario) const;
-
-    // --- workflow-scenario summary rows (mode "wflow") -------------------
-    // The workflow engine (load/workflow.hh) owns the field semantics;
-    // rows travel through the generic lookupRow()/recordRow() pair.
-
-    /** Key of a workflow-scenario row. @p scenario must not contain
-     *  the CSV metacharacters ',', '|' or '='. */
-    std::string workflowKey(const ClusterConfig &cfg,
-                            const std::string &scenario) const;
-
-    // --- cold-start restore-mode rows (mode "coldrs") --------------------
-    // bench/coldstart_restore.cc owns the field semantics (cold/warm
-    // latencies plus REAP/CoW page accounting per restore mode).
-
-    /** Key of a cold-start restore row. @p scenario must not contain
-     *  the CSV metacharacters ',', '|' or '='. */
-    std::string coldRestoreKey(const ClusterConfig &cfg,
-                               const std::string &scenario) const;
-
-    /** Forget everything (and remove the backing file). */
-    void clear();
+    /** CheckpointStore::fingerprint() of (@p cfg, @p spec). */
+    std::string checkpointKeyOf(const ClusterConfig &cfg,
+                                const FunctionSpec &spec) const;
 
   private:
-    std::string keyOf(const ClusterConfig &cfg, const FunctionSpec &spec,
-                      const std::string &mode) const;
     ExperimentRunner &runnerFor(const ClusterConfig &cfg);
     void load();
     /** Caller must hold @ref mtx. */

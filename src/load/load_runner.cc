@@ -93,7 +93,7 @@ dumpLoadStats(const LoadScenario &s, const LoadResult &res, Fleet &fleet)
             res.succeeded);
         set("outcome.failed", "invocations exhausted without success",
             res.failedInvocations);
-        obs::dumpRequestStats("load_" + s.name + "_fault",
+        obs::dumpRequestStats(trackName(s.cluster, s.name, "load") + ".fault",
                               obs::snapshot(fstats));
     }
     if (s.fleet.engaged()) {
@@ -146,7 +146,7 @@ dumpLoadStats(const LoadScenario &s, const LoadResult &res, Fleet &fleet)
             set(p + "evictions", "instance evictions on the node",
                 ps.evictions);
         }
-        obs::dumpRequestStats("load_" + s.name + "_fleet",
+        obs::dumpRequestStats(trackName(s.cluster, s.name, "load") + ".fleet",
                               obs::snapshot(fstats));
     }
 }
@@ -265,7 +265,7 @@ loadSweep(ResultCache &cache, const std::vector<LoadScenario> &scenarios,
         validateScenarioName(s.name);
     return sweepScenarios<LoadScenario, LoadResult>(
         cache, scenarios, jobs_override,
-        {&LoadScenario::mix, &ResultCache::loadKey,
+        {&LoadScenario::mix, "load",
          [](const LoadResult &res) { return packRow(kLoadRow, res); },
          [](const std::string &name,
             const std::map<std::string, uint64_t> &row) {

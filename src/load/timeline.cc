@@ -167,15 +167,8 @@ runTimeline(const WorkflowScenario &s, const std::vector<MixedWorkflow> &mix,
     // calibrations).
     obs::Tracer &tracer = obs::Tracer::global();
     obs::TrackId track = obs::badTrack;
-    if (tracer.enabled()) {
-        std::ostringstream os;
-        os << isaName(s.cluster.system.isa) << "/"
-           << db::dbKindName(s.cluster.dbKind)
-           << (s.cluster.startDb ? 1 : 0)
-           << (s.cluster.startMemcached ? 1 : 0) << "/" << s.name << "/"
-           << view.trackSuffix;
-        track = tracer.track(os.str());
-    }
+    if (tracer.enabled())
+        track = tracer.track(trackName(s.cluster, s.name, view.trackSuffix));
 
     // --- per-instance and per-task state --------------------------------
     struct Instance
@@ -645,6 +638,17 @@ runTimeline(const WorkflowScenario &s, const std::vector<MixedWorkflow> &mix,
     return res;
 }
 
+std::string
+trackName(const ClusterConfig &cluster, const std::string &scenario,
+          const char *suffix)
+{
+    std::ostringstream os;
+    os << isaName(cluster.system.isa) << "/" << db::dbKindName(cluster.dbKind)
+       << (cluster.startDb ? 1 : 0) << (cluster.startMemcached ? 1 : 0)
+       << "/" << scenario << "/" << suffix;
+    return os.str();
+}
+
 bool
 calibrateScenario(ResultCache &cache, const std::string &scenario,
                   const ClusterConfig &cluster, const FleetConfig &fleet,
@@ -660,8 +664,8 @@ calibrateScenario(ResultCache &cache, const std::string &scenario,
         out[g].reserve(functions.size());
         for (const LoadMixEntry &entry : functions) {
             svb_assert(entry.impl != nullptr, "function without workload");
-            out[g].push_back(
-                cache.loadCalibration(clusters[g], entry.spec, *entry.impl));
+            out[g].push_back(std::get<LoadCalibration>(cache.run(
+                {RunMode::LoadCal, entry.spec, entry.impl, clusters[g], {}})));
             if (!out[g].back().ok) {
                 warn(scenario, ": calibration of ", entry.spec.name,
                      " failed; scenario skipped");

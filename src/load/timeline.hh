@@ -103,6 +103,16 @@ TimelineResult runTimeline(const WorkflowScenario &s,
                            Fleet &fleet);
 
 /**
+ * The trace-track identity of @p scenario on @p cluster,
+ * "<isa>/<db><flags>/<scenario>/<suffix>" (the view's track suffix).
+ * The view's stat dumps are named after it plus ".<group>", the way
+ * ExperimentRunner names its per-request dumps, so one scenario name
+ * swept on two platforms writes two distinct dumps.
+ */
+std::string trackName(const ClusterConfig &cluster,
+                      const std::string &scenario, const char *suffix);
+
+/**
  * Fetch (or run and record) every [group][fn] calibration of a
  * scenario. @return false, with a warning naming the function, when
  * one fails; the scenario is then skipped.
@@ -216,9 +226,8 @@ struct SweepView
 {
     /** The scenario's calibrated functions (mix / functions). */
     std::vector<LoadMixEntry> Scenario::*functions;
-    /** The scenario row key (loadKey / workflowKey). */
-    std::string (ResultCache::*rowKey)(const ClusterConfig &,
-                                       const std::string &) const;
+    /** The scenario rows' mode tag ("load" / "wflow"). */
+    const char *rowMode;
     std::map<std::string, uint64_t> (*pack)(const Result &);
     Result (*unpack)(const std::string &,
                      const std::map<std::string, uint64_t> &);
@@ -231,9 +240,10 @@ struct SweepView
  * out across SVBENCH_JOBS workers. Phase 1 calibrates every distinct
  * (cluster, function) the scenarios need, one cluster per fleet
  * class; phase 2 simulates the scenarios whose row is not cached.
- * Both phases compute concurrently but record in submission order, so
- * the backing CSV is byte-identical to a serial sweep. Duplicate keys
- * simulate once and share the result.
+ * Both phases are memoisedSweep()s (core/parallel.hh): they compute
+ * concurrently but record in submission order, so the backing CSV is
+ * byte-identical to a serial sweep, and duplicate keys simulate once
+ * and share the result.
  */
 template <class Scenario, class Result>
 std::vector<Result>
@@ -241,72 +251,27 @@ sweepScenarios(ResultCache &cache, const std::vector<Scenario> &scenarios,
                unsigned jobs_override, const SweepView<Scenario, Result> &view)
 {
     // --- Phase 1: calibrate every distinct (cluster, function) ----------
-    // Class-structured fleets contribute one cluster per class (the
-    // clusters are synthesised per scenario, so jobs store the config
-    // by value).
-    struct CalJob
-    {
-        ClusterConfig cfg;
-        const FunctionSpec *spec;
-        const WorkloadImpl *impl;
-    };
-    std::vector<CalJob> calJobs;
-    std::map<std::string, char> seenCal;
-    for (const Scenario &s : scenarios) {
+    // Class-structured fleets contribute one cluster per class.
+    std::vector<RunSpec> cals;
+    for (const Scenario &s : scenarios)
         for (const ClusterConfig &cluster :
-             calibrationClusters(s.cluster, s.fleet)) {
-            for (const LoadMixEntry &entry : s.*view.functions) {
-                const std::string key = cache.loadCalKey(cluster, entry.spec);
-                if (!seenCal.emplace(key, 1).second)
-                    continue;
-                LoadCalibration cached;
-                if (!cache.lookupLoadCal(cluster, entry.spec, cached))
-                    calJobs.push_back({cluster, &entry.spec, entry.impl});
-            }
-        }
-    }
-    if (!calJobs.empty()) {
-        const auto cals = parallelIndexed<LoadCalibration>(
-            calJobs.size(),
-            [&](size_t i) {
-                return cache.computeLoadCal(calJobs[i].cfg, *calJobs[i].spec,
-                                            *calJobs[i].impl);
-            },
-            jobs_override);
-        for (size_t i = 0; i < calJobs.size(); ++i)
-            cache.recordLoadCal(calJobs[i].cfg, *calJobs[i].spec, cals[i]);
-    }
+             calibrationClusters(s.cluster, s.fleet))
+            for (const LoadMixEntry &entry : s.*view.functions)
+                cals.push_back(
+                    {RunMode::LoadCal, entry.spec, entry.impl, cluster, {}});
+    sweepRuns(cache, cals, jobs_override);
 
     // --- Phase 2: simulate the scenarios --------------------------------
-    std::vector<Result> results(scenarios.size());
-    std::vector<std::string> keys(scenarios.size());
-    std::map<std::string, size_t> primaryForKey;
-    std::vector<size_t> primaries;
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-        keys[i] = (cache.*view.rowKey)(scenarios[i].cluster,
-                                       scenarios[i].name);
-        std::map<std::string, uint64_t> row;
-        if (cache.lookupRow(keys[i], row))
-            results[i] = view.unpack(scenarios[i].name, row);
-        else if (primaryForKey.emplace(keys[i], i).second)
-            primaries.push_back(i);
-    }
-    if (!primaries.empty()) {
-        const auto fresh = parallelIndexed<Result>(
-            primaries.size(),
-            [&](size_t k) { return view.run(cache, scenarios[primaries[k]]); },
-            jobs_override);
-        for (size_t k = 0; k < primaries.size(); ++k) {
-            results[primaries[k]] = fresh[k];
-            cache.recordRow(keys[primaries[k]], view.pack(fresh[k]));
-        }
-    }
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-        const auto it = primaryForKey.find(keys[i]);
-        if (it != primaryForKey.end() && it->second != i)
-            results[i] = results[it->second];
-    }
-    return results;
+    std::vector<std::string> keys;
+    for (const Scenario &s : scenarios)
+        keys.push_back(cache.rowKey(s.cluster, s.name, view.rowMode));
+    return memoisedSweep<Result>(
+        cache, keys, {}, [](size_t) {},
+        [&](size_t i) { return view.run(cache, scenarios[i]); }, view.pack,
+        [&](size_t i, const std::map<std::string, uint64_t> &row) {
+            return view.unpack(scenarios[i].name, row);
+        },
+        jobs_override);
 }
 
 } // namespace svb::load

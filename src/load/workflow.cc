@@ -219,8 +219,9 @@ WorkflowRunner::run(const WorkflowScenario &scenario)
         for (size_t st = 0; st < numStages; ++st)
             set("crit." + scenario.dag.stages[st].name,
                 "critical-path ns attributed to the stage", t.critNs[st]);
-        obs::dumpRequestStats("wflow_" + scenario.name + "_engine",
-                              obs::snapshot(wstats));
+        obs::dumpRequestStats(
+            trackName(scenario.cluster, scenario.name, "wflow") + ".engine",
+            obs::snapshot(wstats));
     }
     return res;
 }
@@ -236,7 +237,7 @@ workflowSweep(ResultCache &cache,
     }
     return sweepScenarios<WorkflowScenario, WorkflowResult>(
         cache, scenarios, jobs_override,
-        {&WorkflowScenario::functions, &ResultCache::workflowKey,
+        {&WorkflowScenario::functions, "wflow",
          packWorkflowResult, unpackWorkflowResult,
          [](ResultCache &c, const WorkflowScenario &s) {
              return WorkflowRunner(c).run(s);

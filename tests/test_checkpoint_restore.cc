@@ -132,6 +132,16 @@ checkRoundTrip(const ClusterConfig &cfg, const std::string &fn,
                             << ": post-measurement stats trees differ";
 }
 
+/** The cache's detailed row for (@p cfg, @p spec): fetched, or run
+ *  and recorded. */
+FunctionResult
+detailedRow(ResultCache &cache, const ClusterConfig &cfg,
+            const FunctionSpec &spec, const WorkloadImpl &impl)
+{
+    return std::get<FunctionResult>(
+        cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
+}
+
 } // namespace
 
 TEST(CheckpointStoreTest, FingerprintSharesBackendAblationPoints)
@@ -240,11 +250,11 @@ TEST(CheckpointRestoreTest, CsvRowByteIdentity)
 
     {
         ResultCache cache(fileA); // miss path: prepares and publishes
-        ASSERT_TRUE(cache.detailed(cfg, spec, impl).ok);
+        ASSERT_TRUE(detailedRow(cache, cfg, spec, impl).ok);
     }
     {
         ResultCache cache(fileB); // restore path: snapshot is warm
-        ASSERT_TRUE(cache.detailed(cfg, spec, impl).ok);
+        ASSERT_TRUE(detailedRow(cache, cfg, spec, impl).ok);
     }
     const std::string a = slurp(fileA);
     const std::string b = slurp(fileB);
@@ -495,9 +505,9 @@ TEST(ResultCacheRobustnessTest, TruncatedCsvLosesOnlyAffectedRows)
     // Build one genuine row to copy the exact on-disk shape from.
     {
         ResultCache cache(file);
-        ASSERT_TRUE(
-            cache.detailed(cfg, good, workloads::workloadImpl(good.workload))
-                .ok);
+        ASSERT_TRUE(detailedRow(cache, cfg, good,
+                                workloads::workloadImpl(good.workload))
+                        .ok);
     }
     std::string contents = slurp(file);
     ASSERT_FALSE(contents.empty());

@@ -46,6 +46,16 @@ statsEqual(const RequestStats &a, const RequestStats &b)
            a.branchMispredicts == b.branchMispredicts;
 }
 
+/** The cache's detailed row for (@p cfg, @p spec): fetched, or run
+ *  and recorded. */
+FunctionResult
+detailedRow(ResultCache &cache, const ClusterConfig &cfg,
+            const FunctionSpec &spec, const WorkloadImpl &impl)
+{
+    return std::get<FunctionResult>(
+        cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
+}
+
 } // namespace
 
 TEST(Cluster, ExperimentsAreBitReproducible)
@@ -131,14 +141,14 @@ TEST(ResultCache, MemoisesAcrossInstances)
     FunctionResult first;
     {
         ResultCache cache(path);
-        first = cache.detailed(cfg, spec, impl);
+        first = detailedRow(cache, cfg, spec, impl);
         ASSERT_TRUE(first.ok);
     }
     {
         // A new cache instance must serve from disk (and therefore be
         // instant — but we only check value equality here).
         ResultCache cache(path);
-        const FunctionResult again = cache.detailed(cfg, spec, impl);
+        const FunctionResult again = detailedRow(cache, cfg, spec, impl);
         EXPECT_TRUE(statsEqual(first.cold, again.cold));
         EXPECT_TRUE(statsEqual(first.warm, again.warm));
     }
@@ -154,9 +164,9 @@ TEST(ResultCache, DistinguishesConfigurations)
     const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
 
     const FunctionResult rv =
-        cache.detailed(cfgFor(spec, IsaId::Riscv), spec, impl);
+        detailedRow(cache, cfgFor(spec, IsaId::Riscv), spec, impl);
     const FunctionResult cx =
-        cache.detailed(cfgFor(spec, IsaId::Cx86), spec, impl);
+        detailedRow(cache, cfgFor(spec, IsaId::Cx86), spec, impl);
     EXPECT_NE(rv.cold.cycles, cx.cold.cycles);
     std::remove(path.c_str());
 }

@@ -6,7 +6,11 @@
  *  - the instance pool implements each keep-alive policy's cold/warm
  *    and eviction semantics;
  *  - loadSweep() produces byte-identical results and CSV rows at any
- *    worker count, with the cold path exercised under load;
+ *    worker count, with the cold path exercised under load, and the
+ *    memoised sweeps print their progress lines in the one-worker
+ *    order at any worker count;
+ *  - stat dumps are named after the scenario's trace track, so one
+ *    scenario name on two platforms writes two dumps;
  *  - the new ResultCache row modes ("ldcal", "load") round-trip, and
  *    rows of unknown modes or stale schema versions are skipped, not
  *    misparsed.
@@ -16,8 +20,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -32,6 +38,15 @@ using namespace svb::load;
 
 namespace
 {
+
+// SVBENCH_STATDUMP is read once per process, so it is pinned before
+// any test runs: load and workflow stat dumps land in a scratch
+// directory.
+const char *statDumpPath = "test_load_statdump";
+const bool statDumpReady = [] {
+    setenv("SVBENCH_STATDUMP", statDumpPath, 1);
+    return true;
+}();
 
 std::string
 slurp(const std::string &path)
@@ -104,6 +119,18 @@ smallScenario(const std::string &name, KeepAlivePolicy policy)
     s.invocations = 400;
     s.seed = 77;
     return s;
+}
+
+/** Everything written to std::cout while @p body runs. */
+template <class Fn>
+std::string
+captureStdout(Fn &&body)
+{
+    std::ostringstream os;
+    std::streambuf *const saved = std::cout.rdbuf(os.rdbuf());
+    body();
+    std::cout.rdbuf(saved);
+    return os.str();
 }
 
 } // namespace
@@ -592,6 +619,101 @@ TEST(LoadSweep, ScenarioNamesWithCacheMetacharactersDie)
     }
 }
 
+TEST(SweepProgress, FourWorkersPrintTheOneWorkerLinesInOrder)
+{
+    // Progress lines are announced from the calling thread before the
+    // misses fan out, so their order is the one-worker compute order
+    // (checkpoint group, then member) at any worker count.
+    TempCheckpointDir ckpts("ckpt_load_progress");
+    const FunctionSpec fib = specFor("fibonacci-go");
+    const FunctionSpec aes = specFor("aes-go");
+    const WorkloadImpl &fibImpl = workloads::workloadImpl(fib.workload);
+    const WorkloadImpl &aesImpl = workloads::workloadImpl(aes.workload);
+
+    const std::vector<SweepJob> jobs = {
+        {standaloneConfig(IsaId::Riscv), fib, &fibImpl},
+        {standaloneConfig(IsaId::Riscv), aes, &aesImpl},
+        {standaloneConfig(IsaId::Cx86), fib, &fibImpl},
+        // A duplicate simulates, and prints, once.
+        {standaloneConfig(IsaId::Riscv), fib, &fibImpl},
+    };
+
+    LoadScenario pair = smallScenario("t-progress-rv",
+                                      KeepAlivePolicy::FixedTtl);
+    pair.mix.push_back({aes, &aesImpl, 1.0});
+    LoadScenario x86 = smallScenario("t-progress-x86",
+                                     KeepAlivePolicy::FixedTtl);
+    x86.cluster = standaloneConfig(IsaId::Cx86);
+    const std::vector<LoadScenario> scenarios = {pair, x86};
+
+    auto progress = [&](unsigned workers) {
+        TempCacheFile file("test_load_progress_j" + std::to_string(workers) +
+                           ".csv");
+        ResultCache cache(file.path);
+        return captureStdout([&] {
+            parallelSweep(cache, jobs, workers);
+            loadSweep(cache, scenarios, workers);
+        });
+    };
+    const std::string serial = progress(1);
+    EXPECT_EQ(serial,
+              "info: measuring fibonacci-go on riscv64 (detailed O3, "
+              "cold+warm)...\n"
+              "info: measuring aes-go on riscv64 (detailed O3, "
+              "cold+warm)...\n"
+              "info: measuring fibonacci-go on cx86-64 (detailed O3, "
+              "cold+warm)...\n"
+              "info: calibrating fibonacci-go on riscv64 for load (cold + 4 "
+              "warm samples)...\n"
+              "info: calibrating aes-go on riscv64 for load (cold + 4 warm "
+              "samples)...\n"
+              "info: calibrating fibonacci-go on cx86-64 for load (cold + 4 "
+              "warm samples)...\n");
+    EXPECT_EQ(progress(4), serial);
+}
+
+TEST(LoadStatDump, OneScenarioNameOnTwoIsasWritesTwoDumps)
+{
+    // The load view's stat dumps are named after the scenario's trace
+    // track, so the same scenario name swept on two platforms writes
+    // two files instead of the last writer overwriting the first.
+    ASSERT_TRUE(statDumpReady);
+    TempCheckpointDir ckpts("ckpt_load_statdump");
+    std::vector<LoadScenario> scenarios;
+    std::vector<std::string> dumps;
+    for (IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
+        LoadScenario s = smallScenario("t-dump", KeepAlivePolicy::FixedTtl);
+        s.cluster = standaloneConfig(isa);
+        // A concurrency limit it never reaches engages the fleet
+        // machinery, and with it the "fleet" stat group.
+        s.fleet.fnConcurrencyLimit = 64;
+        scenarios.push_back(s);
+        dumps.push_back(std::string(statDumpPath) + "/" + isaName(isa) +
+                        "_cassandra00_t-dump_load.fleet");
+    }
+    auto removeDumps = [&dumps] {
+        for (const std::string &stem : dumps) {
+            std::remove((stem + ".csv").c_str());
+            std::remove((stem + ".json").c_str());
+        }
+    };
+    removeDumps();
+
+    TempCacheFile file("test_load_statdump.csv");
+    ResultCache cache(file.path);
+    const std::vector<LoadResult> results = loadSweep(cache, scenarios, 2);
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_TRUE(results[0].ok && results[1].ok);
+
+    const std::string riscv = slurp(dumps[0] + ".csv");
+    const std::string x86 = slurp(dumps[1] + ".csv");
+    EXPECT_NE(riscv.find("node0.busyNs,"), std::string::npos) << dumps[0];
+    EXPECT_NE(x86.find("node0.busyNs,"), std::string::npos) << dumps[1];
+    // Each platform keeps its own counters.
+    EXPECT_NE(riscv, x86);
+    removeDumps();
+}
+
 // --------------------------------------------------------------------------
 // Engine golden: every resilience and fleet feature on fixed calibrations
 // --------------------------------------------------------------------------
@@ -663,15 +785,18 @@ TEST(LoadEngineGolden, MixedClassFleetWithFaultsRetriesAndNodeCrash)
                     cal.warmNs[k] = 180'000 + 20'000 * m + 60'000 * g +
                                     5'000 * k;
                 cal.ok = true;
-                cache.recordLoadCal(clusters[g], s.mix[m].spec, cal);
+                cache.recordRow(
+                    cache.rowKey(clusters[g], s.mix[m].spec.name, "ldcal"),
+                    packRunResult(cal));
             }
         }
     }
     ResultCache cache(file.path);
     for (const ClusterConfig &c : calibrationClusters(s.cluster, s.fleet)) {
         for (const LoadMixEntry &e : s.mix) {
-            LoadCalibration cal;
-            ASSERT_TRUE(cache.lookupLoadCal(c, e.spec, cal));
+            std::map<std::string, uint64_t> row;
+            ASSERT_TRUE(
+                cache.lookupRow(cache.rowKey(c, e.spec.name, "ldcal"), row));
         }
     }
     const LoadResult r = LoadRunner(cache).run(s);
@@ -810,7 +935,7 @@ TEST(ResultCacheSchema, StaleVersionRowsAreSkipped)
     std::string key;
     {
         ResultCache cache(file.path);
-        key = cache.loadCalKey(cfg, spec);
+        key = cache.rowKey(cfg, spec.name, "ldcal");
     }
     {
         // A complete ldcal row, but with a schema version from the
@@ -821,8 +946,8 @@ TEST(ResultCacheSchema, StaleVersionRowsAreSkipped)
               "warm3Ns=1\n";
     }
     ResultCache cache(file.path);
-    LoadCalibration cal;
-    EXPECT_FALSE(cache.lookupLoadCal(cfg, spec, cal));
+    std::map<std::string, uint64_t> row;
+    EXPECT_FALSE(cache.lookupRow(key, row));
 }
 
 TEST(ResultCacheSchema, LoadCalRowRoundTrips)
@@ -839,12 +964,15 @@ TEST(ResultCacheSchema, LoadCalRowRoundTrips)
     cal.ok = true;
     {
         ResultCache cache(file.path);
-        cache.recordLoadCal(cfg, spec, cal);
+        cache.recordRow(cache.rowKey(cfg, spec.name, "ldcal"),
+                        packRunResult(cal));
     }
     // A fresh cache instance re-reads it from disk.
     ResultCache cache(file.path);
-    LoadCalibration back;
-    ASSERT_TRUE(cache.lookupLoadCal(cfg, spec, back));
+    std::map<std::string, uint64_t> row;
+    ASSERT_TRUE(cache.lookupRow(cache.rowKey(cfg, spec.name, "ldcal"), row));
+    const LoadCalibration back = std::get<LoadCalibration>(
+        unpackRunResult(RunMode::LoadCal, spec.name, row));
     EXPECT_EQ(back.coldNs, cal.coldNs);
     for (unsigned k = 0; k < loadWarmSamples; ++k)
         EXPECT_EQ(back.warmNs[k], cal.warmNs[k]);

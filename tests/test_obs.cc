@@ -459,7 +459,8 @@ TEST(RunApi, CacheRunMemoisesByModeKey)
               std::get<EmuResult>(second).coldNs);
     EXPECT_EQ(std::get<EmuResult>(first).warmNs,
               std::get<EmuResult>(second).warmNs);
-    const std::string key = cache.rowKey(rs.platform, rs.spec, rs.mode);
+    const std::string key =
+        cache.rowKey(rs.platform, rs.spec.name, runModeName(rs.mode));
     EXPECT_NE(key.find(",emu"), std::string::npos);
     std::map<std::string, uint64_t> row;
     ASSERT_TRUE(cache.lookupRow(key, row));

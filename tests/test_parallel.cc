@@ -96,6 +96,16 @@ expectSameResult(const FunctionResult &a, const FunctionResult &b)
     }
 }
 
+/** The cache's detailed row for (@p cfg, @p spec): fetched, or run
+ *  and recorded. */
+FunctionResult
+detailedRow(ResultCache &cache, const ClusterConfig &cfg,
+            const FunctionSpec &spec, const WorkloadImpl &impl)
+{
+    return std::get<FunctionResult>(
+        cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
+}
+
 } // namespace
 
 TEST(ThreadPool, RunsEverySubmittedTask)
@@ -125,14 +135,15 @@ TEST(ParallelSweep, MatchesSerialResultsAndCacheBytes)
 {
     const auto jobs = smallJobList();
 
-    // Reference: the legacy strictly-serial path (direct detailed()
+    // Reference: the strictly-serial path (direct ResultCache::run()
     // calls on a single thread).
     TempCacheFile serial_file("test_parallel_serial.csv");
     std::vector<FunctionResult> serial;
     {
         ResultCache cache(serial_file.path);
         for (const SweepJob &job : jobs)
-            serial.push_back(cache.detailed(job.cfg, job.spec, *job.impl));
+            serial.push_back(
+                detailedRow(cache, job.cfg, job.spec, *job.impl));
     }
 
     // Same sweep through the scheduler with four workers.
@@ -200,7 +211,7 @@ TEST(ResultCache, ConcurrentDetailedRunsKeyOnce)
     std::vector<std::thread> threads;
     for (size_t t = 0; t < results.size(); ++t) {
         threads.emplace_back([&, t] {
-            results[t] = cache.detailed(cfg, spec, impl);
+            results[t] = detailedRow(cache, cfg, spec, impl);
         });
     }
     for (std::thread &t : threads)
