@@ -101,16 +101,15 @@ std::vector<RunResult>
 sweepRuns(ResultCache &cache, const std::vector<RunSpec> &runs,
           unsigned jobs_override)
 {
-    std::vector<std::string> keys, groups;
+    std::vector<std::string> keys;
     for (const RunSpec &rs : runs) {
         svb_assert(rs.mode != RunMode::Lukewarm,
                    "sweepRuns: lukewarm runs are not cacheable");
         keys.push_back(
             cache.rowKey(rs.platform, rs.spec.name, runModeName(rs.mode)));
-        groups.push_back(CheckpointStore::fingerprint(rs.platform, rs.spec));
     }
     return memoisedSweep<RunResult>(
-        cache, keys, groups, [&](size_t i) { announceRun(runs[i]); },
+        cache, keys, [&](size_t i) { announceRun(runs[i]); },
         [&](size_t i) { return cache.compute(runs[i]); }, packRunResult,
         [&](size_t i, const std::map<std::string, uint64_t> &row) {
             return unpackRunResult(runs[i].mode, runs[i].spec.name, row);

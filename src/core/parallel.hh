@@ -99,20 +99,37 @@ struct SweepJob
 };
 
 /**
+ * The submission-order merge without the cache: run @p compute(i)
+ * for every i in [0, n) across the pool and return the results in
+ * index order, regardless of completion order. @p compute must be
+ * safe to call concurrently from multiple workers; determinism of
+ * each result is the callee's responsibility.
+ */
+template <typename Result, typename Fn>
+std::vector<Result>
+parallelIndexed(size_t n, Fn &&compute, unsigned jobs_override = 0)
+{
+    std::vector<Result> results(n);
+    ThreadPool pool(jobs_override);
+    for (size_t i = 0; i < n; ++i)
+        pool.submit([&results, &compute, i] { results[i] = compute(i); });
+    pool.wait();
+    return results;
+}
+
+/**
  * The one memoised batch over cache rows. Item i is the row
  * @p keys[i]; a hit is unpacked with @p unpack(i, row). Misses are
- * deduplicated by key (the first item of a key is its primary) and
- * grouped by @p groups[i], or one group per primary when @p groups is
- * empty. Every primary is announced from the calling thread with
- * @p announce(i), in group order and then member order — the order a
- * one-worker pool computes them — before any work is fanned out, so
- * progress lines never race. Each group then runs as one pool task
- * that calls @p compute(i) for its members in order, and the calling
- * thread records every primary's @p pack(result) in submission order,
- * so the CSV is byte-identical to a serial sweep. Duplicates get
- * their primary's result, exactly as a serial sweep would hit the row
- * the primary just recorded. @p compute must be safe to call
- * concurrently from several workers.
+ * deduplicated by key (the first item of a key is its primary). Every
+ * primary is announced from the calling thread with @p announce(i),
+ * in submission order — the order a one-worker pool computes them —
+ * before any work is fanned out, so progress lines never race. The
+ * primaries then run as one pool task each through @p compute(i), and
+ * the calling thread records every primary's @p pack(result) in
+ * submission order, so the CSV is byte-identical to a serial sweep.
+ * Duplicates get their primary's result, exactly as a serial sweep
+ * would hit the row the primary just recorded. @p compute must be
+ * safe to call concurrently from several workers.
  *
  * @param jobs_override worker count; 0 selects ThreadPool::defaultJobs()
  * @return one result per item, in submission order
@@ -121,9 +138,8 @@ template <class Result, class Announce, class Compute, class Pack,
           class Unpack>
 std::vector<Result>
 memoisedSweep(ResultCache &cache, const std::vector<std::string> &keys,
-              const std::vector<std::string> &groups, Announce &&announce,
-              Compute &&compute, Pack &&pack, Unpack &&unpack,
-              unsigned jobs_override = 0)
+              Announce &&announce, Compute &&compute, Pack &&pack,
+              Unpack &&unpack, unsigned jobs_override = 0)
 {
     std::vector<Result> results(keys.size());
     std::map<std::string, size_t> primaryForKey;
@@ -137,28 +153,15 @@ memoisedSweep(ResultCache &cache, const std::vector<std::string> &keys,
     }
 
     if (!primaries.empty()) {
-        std::map<std::string, std::vector<size_t>> members;
-        std::vector<const std::vector<size_t> *> order;
-        for (size_t i : primaries) {
-            auto [it, inserted] =
-                members.try_emplace(groups.empty() ? keys[i] : groups[i]);
-            if (inserted)
-                order.push_back(&it->second);
-            it->second.push_back(i);
-        }
-        for (const std::vector<size_t> *group : order)
-            for (size_t i : *group)
-                announce(i);
-        ThreadPool pool(jobs_override);
-        for (const std::vector<size_t> *group : order) {
-            pool.submit([&results, &compute, group] {
-                for (size_t i : *group)
-                    results[i] = compute(i);
-            });
-        }
-        pool.wait();
         for (size_t i : primaries)
-            cache.recordRow(keys[i], pack(results[i]));
+            announce(i);
+        std::vector<Result> computed = parallelIndexed<Result>(
+            primaries.size(),
+            [&](size_t j) { return compute(primaries[j]); }, jobs_override);
+        for (size_t j = 0; j < primaries.size(); ++j) {
+            cache.recordRow(keys[primaries[j]], pack(computed[j]));
+            results[primaries[j]] = std::move(computed[j]);
+        }
     }
 
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -173,10 +176,7 @@ memoisedSweep(ResultCache &cache, const std::vector<std::string> &keys,
  * memoisedSweep() over RunSpec rows (any mode but Lukewarm, which is
  * not cacheable): rows are keyed by rowKey(platform, spec name, mode
  * tag), announced with announceRun() and computed on each worker's
- * own runner through ResultCache::compute(). Misses are grouped by
- * their CheckpointStore fingerprint, so each prepared tuple is set up
- * by exactly one worker and its groupmates restore the snapshot it
- * publishes instead of blocking in the store's claim/wait.
+ * own runner through ResultCache::compute().
  */
 std::vector<RunResult> sweepRuns(ResultCache &cache,
                                  const std::vector<RunSpec> &runs,
@@ -203,25 +203,6 @@ parallelSweep(ResultCache &cache, const std::vector<SweepJob> &jobs,
  */
 std::vector<FunctionResult>
 parallelRun(const std::vector<SweepJob> &jobs, unsigned jobs_override = 0);
-
-/**
- * The submission-order merge without the cache: run @p compute(i)
- * for every i in [0, n) across the pool and return the results in
- * index order, regardless of completion order. @p compute must be
- * safe to call concurrently from multiple workers; determinism of
- * each result is the callee's responsibility.
- */
-template <typename Result, typename Fn>
-std::vector<Result>
-parallelIndexed(size_t n, Fn &&compute, unsigned jobs_override = 0)
-{
-    std::vector<Result> results(n);
-    ThreadPool pool(jobs_override);
-    for (size_t i = 0; i < n; ++i)
-        pool.submit([&results, &compute, i] { results[i] = compute(i); });
-    pool.wait();
-    return results;
-}
 
 } // namespace svb
 

@@ -266,7 +266,7 @@ sweepScenarios(ResultCache &cache, const std::vector<Scenario> &scenarios,
     for (const Scenario &s : scenarios)
         keys.push_back(cache.rowKey(s.cluster, s.name, view.rowMode));
     return memoisedSweep<Result>(
-        cache, keys, {}, [](size_t) {},
+        cache, keys, [](size_t) {},
         [&](size_t i) { return view.run(cache, scenarios[i]); }, view.pack,
         [&](size_t i, const std::map<std::string, uint64_t> &row) {
             return view.unpack(scenarios[i].name, row);

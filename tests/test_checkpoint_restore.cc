@@ -132,16 +132,6 @@ checkRoundTrip(const ClusterConfig &cfg, const std::string &fn,
                             << ": post-measurement stats trees differ";
 }
 
-/** The cache's detailed row for (@p cfg, @p spec): fetched, or run
- *  and recorded. */
-FunctionResult
-detailedRow(ResultCache &cache, const ClusterConfig &cfg,
-            const FunctionSpec &spec, const WorkloadImpl &impl)
-{
-    return std::get<FunctionResult>(
-        cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
-}
-
 } // namespace
 
 TEST(CheckpointStoreTest, FingerprintSharesBackendAblationPoints)
@@ -250,11 +240,15 @@ TEST(CheckpointRestoreTest, CsvRowByteIdentity)
 
     {
         ResultCache cache(fileA); // miss path: prepares and publishes
-        ASSERT_TRUE(detailedRow(cache, cfg, spec, impl).ok);
+        ASSERT_TRUE(std::get<FunctionResult>(
+                        cache.run({RunMode::Detailed, spec, &impl, cfg, {}}))
+                        .ok);
     }
     {
         ResultCache cache(fileB); // restore path: snapshot is warm
-        ASSERT_TRUE(detailedRow(cache, cfg, spec, impl).ok);
+        ASSERT_TRUE(std::get<FunctionResult>(
+                        cache.run({RunMode::Detailed, spec, &impl, cfg, {}}))
+                        .ok);
     }
     const std::string a = slurp(fileA);
     const std::string b = slurp(fileB);
@@ -505,8 +499,9 @@ TEST(ResultCacheRobustnessTest, TruncatedCsvLosesOnlyAffectedRows)
     // Build one genuine row to copy the exact on-disk shape from.
     {
         ResultCache cache(file);
-        ASSERT_TRUE(detailedRow(cache, cfg, good,
-                                workloads::workloadImpl(good.workload))
+        const WorkloadImpl &impl = workloads::workloadImpl(good.workload);
+        ASSERT_TRUE(std::get<FunctionResult>(
+                        cache.run({RunMode::Detailed, good, &impl, cfg, {}}))
                         .ok);
     }
     std::string contents = slurp(file);

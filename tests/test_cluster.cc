@@ -46,16 +46,6 @@ statsEqual(const RequestStats &a, const RequestStats &b)
            a.branchMispredicts == b.branchMispredicts;
 }
 
-/** The cache's detailed row for (@p cfg, @p spec): fetched, or run
- *  and recorded. */
-FunctionResult
-detailedRow(ResultCache &cache, const ClusterConfig &cfg,
-            const FunctionSpec &spec, const WorkloadImpl &impl)
-{
-    return std::get<FunctionResult>(
-        cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
-}
-
 } // namespace
 
 TEST(Cluster, ExperimentsAreBitReproducible)
@@ -141,14 +131,16 @@ TEST(ResultCache, MemoisesAcrossInstances)
     FunctionResult first;
     {
         ResultCache cache(path);
-        first = detailedRow(cache, cfg, spec, impl);
+        first = std::get<FunctionResult>(
+            cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
         ASSERT_TRUE(first.ok);
     }
     {
         // A new cache instance must serve from disk (and therefore be
         // instant — but we only check value equality here).
         ResultCache cache(path);
-        const FunctionResult again = detailedRow(cache, cfg, spec, impl);
+        const FunctionResult again = std::get<FunctionResult>(
+            cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
         EXPECT_TRUE(statsEqual(first.cold, again.cold));
         EXPECT_TRUE(statsEqual(first.warm, again.warm));
     }
@@ -163,10 +155,10 @@ TEST(ResultCache, DistinguishesConfigurations)
     const FunctionSpec spec = specNamed("fibonacci-go");
     const WorkloadImpl &impl = workloads::workloadImpl(spec.workload);
 
-    const FunctionResult rv =
-        detailedRow(cache, cfgFor(spec, IsaId::Riscv), spec, impl);
-    const FunctionResult cx =
-        detailedRow(cache, cfgFor(spec, IsaId::Cx86), spec, impl);
+    const FunctionResult rv = std::get<FunctionResult>(cache.run(
+        {RunMode::Detailed, spec, &impl, cfgFor(spec, IsaId::Riscv), {}}));
+    const FunctionResult cx = std::get<FunctionResult>(cache.run(
+        {RunMode::Detailed, spec, &impl, cfgFor(spec, IsaId::Cx86), {}}));
     EXPECT_NE(rv.cold.cycles, cx.cold.cycles);
     std::remove(path.c_str());
 }

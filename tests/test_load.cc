@@ -9,8 +9,6 @@
  *    worker count, with the cold path exercised under load, and the
  *    memoised sweeps print their progress lines in the one-worker
  *    order at any worker count;
- *  - stat dumps are named after the scenario's trace track, so one
- *    scenario name on two platforms writes two dumps;
  *  - the new ResultCache row modes ("ldcal", "load") round-trip, and
  *    rows of unknown modes or stale schema versions are skipped, not
  *    misparsed.
@@ -20,7 +18,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -38,15 +35,6 @@ using namespace svb::load;
 
 namespace
 {
-
-// SVBENCH_STATDUMP is read once per process, so it is pinned before
-// any test runs: load and workflow stat dumps land in a scratch
-// directory.
-const char *statDumpPath = "test_load_statdump";
-const bool statDumpReady = [] {
-    setenv("SVBENCH_STATDUMP", statDumpPath, 1);
-    return true;
-}();
 
 std::string
 slurp(const std::string &path)
@@ -623,7 +611,7 @@ TEST(SweepProgress, FourWorkersPrintTheOneWorkerLinesInOrder)
 {
     // Progress lines are announced from the calling thread before the
     // misses fan out, so their order is the one-worker compute order
-    // (checkpoint group, then member) at any worker count.
+    // (submission order) at any worker count.
     TempCheckpointDir ckpts("ckpt_load_progress");
     const FunctionSpec fib = specFor("fibonacci-go");
     const FunctionSpec aes = specFor("aes-go");
@@ -670,48 +658,6 @@ TEST(SweepProgress, FourWorkersPrintTheOneWorkerLinesInOrder)
               "info: calibrating fibonacci-go on cx86-64 for load (cold + 4 "
               "warm samples)...\n");
     EXPECT_EQ(progress(4), serial);
-}
-
-TEST(LoadStatDump, OneScenarioNameOnTwoIsasWritesTwoDumps)
-{
-    // The load view's stat dumps are named after the scenario's trace
-    // track, so the same scenario name swept on two platforms writes
-    // two files instead of the last writer overwriting the first.
-    ASSERT_TRUE(statDumpReady);
-    TempCheckpointDir ckpts("ckpt_load_statdump");
-    std::vector<LoadScenario> scenarios;
-    std::vector<std::string> dumps;
-    for (IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
-        LoadScenario s = smallScenario("t-dump", KeepAlivePolicy::FixedTtl);
-        s.cluster = standaloneConfig(isa);
-        // A concurrency limit it never reaches engages the fleet
-        // machinery, and with it the "fleet" stat group.
-        s.fleet.fnConcurrencyLimit = 64;
-        scenarios.push_back(s);
-        dumps.push_back(std::string(statDumpPath) + "/" + isaName(isa) +
-                        "_cassandra00_t-dump_load.fleet");
-    }
-    auto removeDumps = [&dumps] {
-        for (const std::string &stem : dumps) {
-            std::remove((stem + ".csv").c_str());
-            std::remove((stem + ".json").c_str());
-        }
-    };
-    removeDumps();
-
-    TempCacheFile file("test_load_statdump.csv");
-    ResultCache cache(file.path);
-    const std::vector<LoadResult> results = loadSweep(cache, scenarios, 2);
-    ASSERT_EQ(results.size(), 2u);
-    ASSERT_TRUE(results[0].ok && results[1].ok);
-
-    const std::string riscv = slurp(dumps[0] + ".csv");
-    const std::string x86 = slurp(dumps[1] + ".csv");
-    EXPECT_NE(riscv.find("node0.busyNs,"), std::string::npos) << dumps[0];
-    EXPECT_NE(x86.find("node0.busyNs,"), std::string::npos) << dumps[1];
-    // Each platform keeps its own counters.
-    EXPECT_NE(riscv, x86);
-    removeDumps();
 }
 
 // --------------------------------------------------------------------------

@@ -5,8 +5,9 @@
  * hierarchical JSON dump, RequestStats as a view over a named-stat
  * delta (byte-identical to reading the tree directly), the stall
  * partition invariant (causes sum to cycles on every measured
- * request, both ISAs), the RowSchema descriptor table, and the
- * unified RunSpec -> RunResult dispatch.
+ * request, both ISAs), load stat dumps named per platform, the
+ * RowSchema descriptor table, and the unified RunSpec -> RunResult
+ * dispatch.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 
 #include "core/parallel.hh"
 #include "core/result_cache.hh"
+#include "load/load_runner.hh"
 #include "obs/stat_export.hh"
 #include "obs/trace.hh"
 #include "workloads/workloads.hh"
@@ -405,6 +407,56 @@ TEST(ObsDeterminism, TraceAndStatDumpsIdenticalAcrossJobs)
         EXPECT_NE(serial.find(needle), std::string::npos)
             << "trace is missing " << needle;
     }
+}
+
+TEST(LoadStatDump, OneScenarioNameOnTwoIsasWritesTwoDumps)
+{
+    // The load view's stat dumps are named after the scenario's trace
+    // track, so the same scenario name swept on two platforms writes
+    // two files instead of the last writer overwriting the first.
+    ASSERT_TRUE(envReady);
+    const FunctionSpec spec = specFor("fibonacci-go");
+    std::vector<load::LoadScenario> scenarios;
+    std::vector<std::string> dumps;
+    for (IsaId isa : {IsaId::Riscv, IsaId::Cx86}) {
+        load::LoadScenario s;
+        s.name = "t-dump";
+        s.cluster.system = SystemConfig::paperConfig(isa);
+        s.cluster.startDb = false;
+        s.cluster.startMemcached = false;
+        s.mix = {{spec, &workloads::workloadImpl(spec.workload), 1.0}};
+        s.arrival.ratePerSec = 400.0;
+        s.invocations = 200;
+        s.seed = 77;
+        // A concurrency limit it never reaches engages the fleet
+        // machinery, and with it the "fleet" stat group.
+        s.fleet.fnConcurrencyLimit = 64;
+        scenarios.push_back(s);
+        dumps.push_back(std::string(statDumpPath) + "/" + isaName(isa) +
+                        "_cassandra00_t-dump_load.fleet");
+    }
+    auto removeDumps = [&dumps] {
+        for (const std::string &stem : dumps) {
+            std::remove((stem + ".csv").c_str());
+            std::remove((stem + ".json").c_str());
+        }
+    };
+    removeDumps();
+
+    TempCacheFile file("test_obs_load_statdump.csv");
+    ResultCache cache(file.path);
+    const std::vector<load::LoadResult> results =
+        load::loadSweep(cache, scenarios, 2);
+    ASSERT_EQ(results.size(), 2u);
+    ASSERT_TRUE(results[0].ok && results[1].ok);
+
+    const std::string riscv = slurp(dumps[0] + ".csv");
+    const std::string x86 = slurp(dumps[1] + ".csv");
+    EXPECT_NE(riscv.find("node0.busyNs,"), std::string::npos) << dumps[0];
+    EXPECT_NE(x86.find("node0.busyNs,"), std::string::npos) << dumps[1];
+    // Each platform keeps its own counters.
+    EXPECT_NE(riscv, x86);
+    removeDumps();
 }
 
 // ---------------------------------------------------------------------------

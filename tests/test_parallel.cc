@@ -96,16 +96,6 @@ expectSameResult(const FunctionResult &a, const FunctionResult &b)
     }
 }
 
-/** The cache's detailed row for (@p cfg, @p spec): fetched, or run
- *  and recorded. */
-FunctionResult
-detailedRow(ResultCache &cache, const ClusterConfig &cfg,
-            const FunctionSpec &spec, const WorkloadImpl &impl)
-{
-    return std::get<FunctionResult>(
-        cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
-}
-
 } // namespace
 
 TEST(ThreadPool, RunsEverySubmittedTask)
@@ -142,8 +132,8 @@ TEST(ParallelSweep, MatchesSerialResultsAndCacheBytes)
     {
         ResultCache cache(serial_file.path);
         for (const SweepJob &job : jobs)
-            serial.push_back(
-                detailedRow(cache, job.cfg, job.spec, *job.impl));
+            serial.push_back(std::get<FunctionResult>(cache.run(
+                {RunMode::Detailed, job.spec, job.impl, job.cfg, {}})));
     }
 
     // Same sweep through the scheduler with four workers.
@@ -211,7 +201,8 @@ TEST(ResultCache, ConcurrentDetailedRunsKeyOnce)
     std::vector<std::thread> threads;
     for (size_t t = 0; t < results.size(); ++t) {
         threads.emplace_back([&, t] {
-            results[t] = detailedRow(cache, cfg, spec, impl);
+            results[t] = std::get<FunctionResult>(
+                cache.run({RunMode::Detailed, spec, &impl, cfg, {}}));
         });
     }
     for (std::thread &t : threads)
