@@ -45,6 +45,55 @@ computeProgram()
     return pb.take();
 }
 
+/**
+ * A memory-bound spinning program: a store->load chain through stack
+ * slots. Each iteration loads the chain value back from the stack and
+ * stores the next one to a slot picked by a heap load that strides
+ * across 4 MiB (cache and TLB misses), so most loads wait behind an
+ * older store whose address is not known yet.
+ */
+gen::Program
+memoryProgram()
+{
+    constexpr int64_t heapSpan = int64_t(4) << 20;
+    gen::ProgramBuilder pb;
+    pb.setHeapBytes(Addr(heapSpan));
+    auto f = pb.beginFunction("main", 0);
+    const int64_t slots = f.localBytes(8 * 8);
+    const int base = f.newVreg(), heap = f.newVreg(), i = f.newVreg(),
+              off = f.newVreg(), idx = f.newVreg(), addr = f.newVreg(),
+              v = f.newVreg(), w = f.newVreg(), acc = f.newVreg();
+    const int loop = f.newLabel(), done = f.newLabel();
+    f.leaLocal(base, slots);
+    f.movi(heap, int64_t(layout::heapBase));
+    f.movi(i, 0);
+    f.movi(off, 0);
+    f.movi(acc, 0);
+    f.store(base, 0, acc, 8);
+    f.label(loop);
+    f.brcondi(gen::CondOp::Ge, i, 60'000, done);
+    f.bin(gen::BinOp::Add, addr, heap, off);
+    f.load(idx, addr, 0, 8, false);
+    f.bin(gen::BinOp::Add, idx, idx, i);
+    f.bini(gen::BinOp::And, idx, idx, 7);
+    f.bini(gen::BinOp::Shl, idx, idx, 3);
+    f.bin(gen::BinOp::Add, addr, base, idx);
+    f.load(v, base, 0, 8, false);
+    f.bin(gen::BinOp::Add, v, v, i);
+    f.store(addr, 0, v, 8);
+    f.store(base, 0, v, 8);
+    f.load(w, base, 8, 8, false);
+    f.bin(gen::BinOp::Add, acc, acc, w);
+    f.bini(gen::BinOp::Add, off, off, 4160);
+    f.bini(gen::BinOp::And, off, off, heapSpan - 1);
+    f.addi(i, i, 1);
+    f.br(loop);
+    f.label(done);
+    f.ret(acc);
+    pb.setEntry("main");
+    return pb.take();
+}
+
 void
 BM_RiscvDecode(benchmark::State &state)
 {
@@ -187,29 +236,39 @@ BENCHMARK(BM_AtomicHostMips)
     ->Args({1, 1, 0})
     ->Unit(benchmark::kMillisecond);
 
-/** Whole-system simulation rate: detailed O3 model. */
+/**
+ * Whole-system simulation rate: detailed O3 model. Arg 0 runs the
+ * compute kernel (high IPC, no load ever waits on a store address),
+ * arg 1 the memory-bound store->load chain kernel.
+ */
 void
 BM_O3SimRate(benchmark::State &state)
 {
+    const bool memory_bound = state.range(0) != 0;
+    uint64_t cycles = 0;
     for (auto _ : state) {
         state.PauseTiming();
         SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
         cfg.numCores = 1;
         System sys(cfg);
-        LoadableImage image =
-            gen::compileProgram(computeProgram(), IsaId::Riscv);
+        LoadableImage image = gen::compileProgram(
+            memory_bound ? memoryProgram() : computeProgram(),
+            IsaId::Riscv);
         loadProcess(sys.kernel(), image, "bench", 0);
         sys.scheduleIdleCores();
         sys.switchCpu(0, CpuModel::O3);
         state.ResumeTiming();
-        const uint64_t ran = sys.run(30'000'000);
-        state.counters["guest_cycles/s"] = benchmark::Counter(
-            double(sys.o3Cpu(0).cycleCount()),
-            benchmark::Counter::kIsRate);
-        benchmark::DoNotOptimize(ran);
+        benchmark::DoNotOptimize(sys.run(30'000'000));
+        cycles += sys.o3Cpu(0).cycleCount();
     }
+    state.counters["guest_cycles/s"] =
+        benchmark::Counter(double(cycles), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_O3SimRate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_O3SimRate)
+    ->ArgName("mem")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 /**
  * Per-System setup and teardown: construct and destroy the paper

@@ -45,8 +45,9 @@ unsigned
 ThreadPool::defaultJobs()
 {
     if (const char *env = std::getenv("SVBENCH_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
+        char *end = nullptr;
+        const long v = std::strtol(env, &end, 10);
+        if (v > 0 && *end == '\0')
             return unsigned(v);
         warn("ignoring SVBENCH_JOBS='", env, "' (want a positive integer)");
     }

@@ -132,8 +132,17 @@ class System : public M5Listener
                            std::shared_ptr<const PageImage> image = nullptr);
 
   private:
-    /** One cycle for core @p c through the appropriate engine. */
-    void tickCore(unsigned c);
+    /** One cycle for core @p c through the appropriate engine.
+     *  @return true when the core is still running afterwards */
+    bool tickCore(unsigned c);
+
+    /**
+     * Cycles, at most @p budget, for which no core can act: every core
+     * is halted or an O3 core in a quiet span, clamped so the next
+     * pending event still fires on its cycle. 0 when some core may act
+     * on the next cycle, or when all are halted with nothing pending.
+     */
+    uint64_t quietSpan(uint64_t budget) const;
 
     SystemConfig cfg;
     StatGroup rootStats{"system"};

@@ -1,9 +1,9 @@
 #include "superblock.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "paging.hh"
+#include "sim/env.hh"
 
 namespace svb
 {
@@ -144,8 +144,7 @@ SuperblockCache::attachStats(StatGroup &g)
 bool
 SuperblockCache::envEnabled()
 {
-    const char *v = std::getenv("SVBENCH_FASTWARM");
-    return v == nullptr || v[0] != '0';
+    return envFlag("SVBENCH_FASTWARM", true);
 }
 
 } // namespace svb

@@ -160,7 +160,8 @@ class SuperblockCache
     /** Register the coverage counters as derived stats under @p g. */
     void attachStats(StatGroup &g);
 
-    /** @return false iff SVBENCH_FASTWARM=0 disables the fast tier. */
+    /** @return false iff SVBENCH_FASTWARM is off (sim/env.hh
+     *  grammar), disabling the fast tier. */
     static bool envEnabled();
 
   private:

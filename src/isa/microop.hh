@@ -86,6 +86,14 @@ struct MicroOp
     bool isSyscall() const { return op == UopOp::Syscall; }
     bool isHalt() const { return op == UopOp::Halt; }
 
+    /** Completes at rename without an issue-queue slot (the O3 CPU
+     *  delivers traps at commit; a nop has nothing to execute). */
+    bool
+    skipsIssue() const
+    {
+        return isSyscall() || isHalt() || op == UopOp::Nop;
+    }
+
     bool
     isControl() const
     {

@@ -1,8 +1,9 @@
 #include "page_store.hh"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+
+#include "sim/env.hh"
 
 namespace svb
 {
@@ -101,8 +102,7 @@ PageStore::resetForTest()
 bool
 reapEnvEnabled()
 {
-    const char *env = std::getenv("SVBENCH_REAP");
-    return env == nullptr || env[0] != '0';
+    return envFlag("SVBENCH_REAP", true);
 }
 
 } // namespace svb

@@ -108,8 +108,8 @@ struct PageImage
     size_t imagePages() const { return pages.size(); }
 };
 
-/** SVBENCH_REAP environment gate: set to "0" to force full restores
- *  (default on, mirroring SVBENCH_FASTWARM). ANDed with
+/** SVBENCH_REAP environment gate (sim/env.hh grammar): off forces
+ *  full restores (default on, mirroring SVBENCH_FASTWARM). ANDed with
  *  SystemConfig::reapRestore. */
 bool reapEnvEnabled();
 

@@ -14,7 +14,7 @@ EventQueue::schedule(Tick when, const char *name, Callback cb)
 }
 
 size_t
-EventQueue::serviceUpTo(Tick now)
+EventQueue::serviceDue(Tick now)
 {
     svb_assert(now >= _curTick, "time moving backwards");
     size_t serviced = 0;

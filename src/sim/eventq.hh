@@ -21,6 +21,7 @@
 #include <queue>
 #include <vector>
 
+#include "logging.hh"
 #include "types.hh"
 
 namespace svb
@@ -52,7 +53,17 @@ class EventQueue
      * @param now the new current time of the queue
      * @return the number of events serviced
      */
-    size_t serviceUpTo(Tick now);
+    size_t
+    serviceUpTo(Tick now)
+    {
+        // Inline fast path: most cycles have nothing due.
+        if (events.empty() || events.top().when > now) {
+            svb_assert(now >= _curTick, "time moving backwards");
+            _curTick = now;
+            return 0;
+        }
+        return serviceDue(now);
+    }
 
     /** @return tick of the earliest pending event, or maxTick. */
     Tick nextEventTick() const;
@@ -67,6 +78,9 @@ class EventQueue
     void clear();
 
   private:
+    /** serviceUpTo() once some event is due. */
+    size_t serviceDue(Tick now);
+
     struct ScheduledEvent
     {
         Tick when;

@@ -1,17 +1,24 @@
 /**
  * @file
  * Targeted microarchitecture tests: branch predictor learning,
- * store-to-load forwarding, O3 stat plausibility, and TLB behaviour
- * under context switches.
+ * store-to-load forwarding, O3 stat plausibility, TLB behaviour
+ * under context switches, and golden O3 stat trees (O3Golden) that
+ * pin every simulated cycle and counter of the detailed CPU.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "core/cluster.hh"
 #include "core/system.hh"
 #include "cpu/branch_pred.hh"
 #include "gen/guestlib.hh"
 #include "gen/ir.hh"
 #include "guest/loader.hh"
+#include "obs/stat_export.hh"
+#include "stack/topology.hh"
+#include "workloads/workloads.hh"
 
 using namespace svb;
 
@@ -355,4 +362,314 @@ TEST(O3Micro, TlbMissesAfterContextSwitchStorm)
     EXPECT_GT(snap.at("system.cpu0.atomic.itlb.flushes"), 300.0);
     EXPECT_GT(snap.at("system.cpu0.atomic.itlb.misses"), 300.0);
     EXPECT_GT(snap.at("system.kernel.contextSwitches"), 300.0);
+}
+
+// --------------------------------------------------------------------------
+// O3 golden stats. Each test pins the full O3 stat tree of the measured
+// core (every stall cause, the iTLB/dTLB and branch-predictor counters)
+// plus its L1I/L1D/L2 stats, as a digest of the sorted "name=value"
+// lines and a plain cycle count. Any change to a simulated cycle or
+// counter of the detailed CPU shows up here; a failure prints the
+// lines so they can be diffed against the last known-good tree.
+// --------------------------------------------------------------------------
+
+namespace
+{
+
+/** Every stat of @p snap under one of @p prefixes, one per line. */
+std::string
+pinnedLines(const std::map<std::string, double> &snap,
+            std::initializer_list<std::string> prefixes)
+{
+    std::ostringstream os;
+    os.precision(17);
+    for (const auto &[name, value] : snap) {
+        for (const std::string &p : prefixes) {
+            if (name.compare(0, p.size(), p) == 0) {
+                os << name << '=' << value << '\n';
+                break;
+            }
+        }
+    }
+    return os.str();
+}
+
+uint64_t
+fnv1a(const std::string &s)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** The pinned view of one measured request or microprogram run. */
+struct Pinned
+{
+    uint64_t cycles = 0;
+    uint64_t digest = 0;
+    std::string lines;
+};
+
+Pinned
+pin(const std::map<std::string, double> &snap, int core)
+{
+    const std::string cpu = "system.cpu" + std::to_string(core) + ".o3.";
+    const std::string mem = "system.core" + std::to_string(core) + ".";
+    Pinned p;
+    p.lines = pinnedLines(snap, {cpu, mem + "l1i.", mem + "l1d.",
+                                 mem + "l2."});
+    p.digest = fnv1a(p.lines);
+    p.cycles = uint64_t(obs::statValue(snap, cpu + "numCycles"));
+    return p;
+}
+
+#define EXPECT_PINNED(pinned, want_cycles, want_digest)                     \
+    do {                                                                    \
+        const Pinned &p_ = (pinned);                                        \
+        EXPECT_EQ(p_.cycles, uint64_t(want_cycles));                        \
+        EXPECT_EQ(p_.digest, uint64_t(want_digest)) << p_.lines;            \
+    } while (0)
+
+FunctionSpec
+functionNamed(const std::string &name)
+{
+    for (const FunctionSpec &spec : workloads::allFunctions()) {
+        if (spec.name == name)
+            return spec;
+    }
+    ADD_FAILURE() << "unknown function " << name;
+    return {};
+}
+
+/**
+ * The Figure 4.1 protocol on a fresh cluster, checkpoint store
+ * bypassed: boot, deploy, settle, measure request 1 on O3 with cold
+ * microarchitectural state, warm through requests 2..9 on the Atomic
+ * CPU, measure request 10 on O3. @return the server core's pinned
+ * cold and warm stat deltas.
+ */
+std::pair<Pinned, Pinned>
+coldWarmOnO3(IsaId isa, const std::string &name)
+{
+    ClusterConfig cfg;
+    cfg.system = SystemConfig::paperConfig(isa);
+    cfg.startDb = false;
+    cfg.startMemcached = false;
+    ServerlessCluster cl(cfg);
+    cl.boot();
+    cl.resetToBaseline();
+    const FunctionSpec spec = functionNamed(name);
+    const auto dep = cl.deploy(spec, workloads::workloadImpl(spec.workload));
+    EXPECT_TRUE(cl.runUntilReady(1));
+    System &m = cl.system();
+    m.run(5'000);
+
+    auto measure = [&] {
+        return pin(obs::delta(cl.workBeginSnapshot(),
+                              obs::snapshot(m.stats())),
+                   topo::serverCore);
+    };
+    m.switchCpu(topo::clientCore, CpuModel::O3);
+    m.switchCpu(topo::serverCore, CpuModel::O3);
+    m.flushMicroarchState();
+    cl.armStatResetOnWorkBegin();
+    cl.openClientGate(dep);
+    EXPECT_TRUE(cl.runUntilWorkEnds(1));
+    const Pinned cold = measure();
+
+    m.switchCpu(topo::clientCore, CpuModel::Atomic);
+    m.switchCpu(topo::serverCore, CpuModel::Atomic);
+    EXPECT_TRUE(cl.runUntilWorkEnds(9));
+    m.switchCpu(topo::clientCore, CpuModel::O3);
+    m.switchCpu(topo::serverCore, CpuModel::O3);
+    cl.armStatResetOnWorkBegin();
+    EXPECT_TRUE(cl.runUntilWorkEnds(10));
+    return {cold, measure()};
+}
+
+} // namespace
+
+TEST(O3Golden, FibonacciGoRiscvColdAndWarm)
+{
+    const auto [cold, warm] = coldWarmOnO3(IsaId::Riscv, "fibonacci-go");
+    EXPECT_PINNED(cold, 1511103,
+                  0x2181934b39bbfdbcULL);
+    EXPECT_PINNED(warm, 742501,
+                  0xf6dbe540d8e061e3ULL);
+}
+
+TEST(O3Golden, FibonacciGoCx86ColdAndWarm)
+{
+    const auto [cold, warm] = coldWarmOnO3(IsaId::Cx86, "fibonacci-go");
+    EXPECT_PINNED(cold, 3160763,
+                  0x93102a59680e876cULL);
+    EXPECT_PINNED(warm, 1636500,
+                  0x8d05785e9bd3d6e1ULL);
+}
+
+TEST(O3Golden, AesGoRiscvColdAndWarm)
+{
+    const auto [cold, warm] = coldWarmOnO3(IsaId::Riscv, "aes-go");
+    EXPECT_PINNED(cold, 1524128,
+                  0xb24911787eb34979ULL);
+    EXPECT_PINNED(warm, 767039,
+                  0x99d9d67ca85ca9c8ULL);
+}
+
+TEST(O3Golden, AesGoCx86ColdAndWarm)
+{
+    const auto [cold, warm] = coldWarmOnO3(IsaId::Cx86, "aes-go");
+    EXPECT_PINNED(cold, 3171476,
+                  0x1da520f49b056911ULL);
+    EXPECT_PINNED(warm, 1650355,
+                  0x0d9fec0aa7c33203ULL);
+}
+
+TEST(O3Golden, LoadsWaitBehindAStoreWhoseAddressNeedsADivide)
+{
+    // Each iteration stores through an address computed by a divide,
+    // then loads four other slots: the loads have their operands long
+    // before the store knows its address, so they wait in the IQ for
+    // the whole divide.
+    gen::ProgramBuilder pb;
+    pb.addZeroData(256);
+    auto f = pb.beginFunction("main", 0);
+    const int i = f.newVreg(), x = f.newVreg(), t = f.newVreg(),
+              ptr = f.newVreg(), addr = f.newVreg(), v = f.newVreg(),
+              acc = f.newVreg();
+    const int loop = f.newLabel(), done = f.newLabel();
+    f.lea(ptr, layout::dataBase);
+    f.movi(i, 0);
+    f.movi(acc, 0);
+    f.movi(x, 12345);
+    f.label(loop);
+    f.brcondi(gen::CondOp::Ge, i, 600, done);
+    f.bini(gen::BinOp::Add, x, x, 7919);
+    f.bini(gen::BinOp::Udiv, t, x, 7);
+    f.bini(gen::BinOp::And, t, t, 7);
+    f.bini(gen::BinOp::Shl, t, t, 3);
+    f.bin(gen::BinOp::Add, addr, ptr, t);
+    f.store(addr, 0, i, 8);
+    for (int k = 0; k < 4; ++k) {
+        f.load(v, ptr, 64 + 8 * k, 8, false);
+        f.bin(gen::BinOp::Add, acc, acc, v);
+    }
+    f.addi(i, i, 1);
+    f.br(loop);
+    f.label(done);
+    f.ret(acc);
+    pb.setEntry("main");
+
+    EXPECT_PINNED(pin(runO3(pb.take()).stats, 0), 12880,
+                  0x2a0e011874c0fe32ULL);
+}
+
+TEST(O3Golden, PartialOverlapLoadRetriesUntilTheStoreRetires)
+{
+    // A 4-byte store under an 8-byte load of the same slot: the store
+    // cannot forward, so the load retries (and re-translates) every
+    // cycle until the store commits.
+    gen::ProgramBuilder pb;
+    pb.addZeroData(64);
+    auto f = pb.beginFunction("main", 0);
+    const int i = f.newVreg(), v = f.newVreg(), ptr = f.newVreg(),
+              acc = f.newVreg();
+    const int loop = f.newLabel(), done = f.newLabel();
+    f.lea(ptr, layout::dataBase);
+    f.movi(i, 0);
+    f.movi(acc, 0);
+    f.label(loop);
+    f.brcondi(gen::CondOp::Ge, i, 800, done);
+    f.store(ptr, 0, i, 4);
+    f.load(v, ptr, 0, 8, false);
+    f.bin(gen::BinOp::Add, acc, acc, v);
+    f.addi(i, i, 1);
+    f.br(loop);
+    f.label(done);
+    f.ret(acc);
+    pb.setEntry("main");
+
+    EXPECT_PINNED(pin(runO3(pb.take()).stats, 0), 4147,
+                  0x98a0c3a0959ffc43ULL);
+}
+
+TEST(O3Golden, IndependentDividesCollideOnTheDivideUnit)
+{
+    // Two independent divides per iteration: the second is ready at
+    // once but waits for the unpipelined divide unit.
+    gen::ProgramBuilder pb;
+    auto f = pb.beginFunction("main", 0);
+    const int i = f.newVreg(), x = f.newVreg(), y = f.newVreg(),
+              a = f.newVreg(), b = f.newVreg(), acc = f.newVreg();
+    const int loop = f.newLabel(), done = f.newLabel();
+    f.movi(i, 0);
+    f.movi(acc, 0);
+    f.movi(x, 1'000'003);
+    f.movi(y, 2'000'029);
+    f.label(loop);
+    f.brcondi(gen::CondOp::Ge, i, 400, done);
+    f.bini(gen::BinOp::Div, a, x, 3);
+    f.bini(gen::BinOp::Div, b, y, 5);
+    f.bin(gen::BinOp::Add, acc, acc, a);
+    f.bin(gen::BinOp::Add, acc, acc, b);
+    f.addi(x, x, 11);
+    f.addi(y, y, 13);
+    f.addi(i, i, 1);
+    f.br(loop);
+    f.label(done);
+    f.ret(acc);
+    pb.setEntry("main");
+
+    EXPECT_PINNED(pin(runO3(pb.take()).stats, 0), 16565,
+                  0x690c1639f3e7557fULL);
+}
+
+TEST(O3Golden, MispredictSquashesLoadsWaitingOnAStoreAddress)
+{
+    // A hard-to-predict branch sits between a store whose address
+    // needs a divide and the loads behind it: when the branch
+    // mispredicts, the loads still waiting on the store address are
+    // squashed out of the IQ.
+    gen::ProgramBuilder pb;
+    pb.addZeroData(256);
+    auto f = pb.beginFunction("main", 0);
+    const int i = f.newVreg(), x = f.newVreg(), t = f.newVreg(),
+              ptr = f.newVreg(), addr = f.newVreg(), v = f.newVreg(),
+              acc = f.newVreg(), bit = f.newVreg();
+    const int loop = f.newLabel(), skip = f.newLabel(),
+              done = f.newLabel();
+    f.lea(ptr, layout::dataBase);
+    f.movi(i, 0);
+    f.movi(acc, 0);
+    f.movi(x, 0x9e3779b9);
+    f.label(loop);
+    f.brcondi(gen::CondOp::Ge, i, 800, done);
+    f.bini(gen::BinOp::Mul, x, x, 1103515245);
+    f.bini(gen::BinOp::Add, x, x, 12345);
+    f.bini(gen::BinOp::Udiv, t, x, 3);
+    f.bini(gen::BinOp::And, t, t, 7);
+    f.bini(gen::BinOp::Shl, t, t, 3);
+    f.bin(gen::BinOp::Add, addr, ptr, t);
+    f.store(addr, 0, i, 8);
+    f.bini(gen::BinOp::Shr, bit, x, 17);
+    f.bini(gen::BinOp::And, bit, bit, 1);
+    f.brcondi(gen::CondOp::Eq, bit, 0, skip);
+    f.load(v, ptr, 72, 8, false);
+    f.bin(gen::BinOp::Add, acc, acc, v);
+    f.label(skip);
+    for (int k = 0; k < 3; ++k) {
+        f.load(v, ptr, 96 + 8 * k, 8, false);
+        f.bin(gen::BinOp::Add, acc, acc, v);
+    }
+    f.addi(i, i, 1);
+    f.br(loop);
+    f.label(done);
+    f.ret(acc);
+    pb.setEntry("main");
+
+    EXPECT_PINNED(pin(runO3(pb.take()).stats, 0), 16891,
+                  0xa7aabb39bedf7584ULL);
 }

@@ -1,14 +1,24 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue, RNG, statistics,
- * checkpoints.
+ * checkpoints, and the boolean environment-knob grammar.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <optional>
 #include <sstream>
+#include <thread>
 
+#include "core/checkpoint_store.hh"
+#include "core/parallel.hh"
+#include "core/result_cache.hh"
+#include "cpu/superblock.hh"
+#include "mem/page_store.hh"
+#include "sim/env.hh"
 #include "sim/eventq.hh"
 #include "sim/rng.hh"
 #include "sim/serialize.hh"
@@ -205,4 +215,136 @@ TEST(Checkpoint, FileRoundtrip)
     ASSERT_EQ(blob.size(), 4096u);
     EXPECT_EQ(blob[1000], uint8_t(1000 * 7));
     std::remove(path.c_str());
+}
+
+// --------------------------------------------------------------------------
+// Boolean environment knobs
+// --------------------------------------------------------------------------
+
+namespace
+{
+
+/** Set (or with nullptr unset) @p name for one scope. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name(name)
+    {
+        if (const char *prev = std::getenv(name))
+            saved = prev;
+        if (value)
+            setenv(name, value, 1);
+        else
+            unsetenv(name);
+    }
+    ~ScopedEnv()
+    {
+        if (saved)
+            setenv(name, saved->c_str(), 1);
+        else
+            unsetenv(name);
+    }
+
+  private:
+    const char *name;
+    std::optional<std::string> saved;
+};
+
+} // namespace
+
+TEST(EnvFlag, ParsesOneGrammar)
+{
+    for (const char *on : {"1", "true", "yes", "on", "TRUE", "On"})
+        EXPECT_EQ(parseBool(on), std::optional<bool>(true)) << on;
+    for (const char *off : {"0", "false", "no", "off", "FALSE", "Off"})
+        EXPECT_EQ(parseBool(off), std::optional<bool>(false)) << off;
+    for (const char *bad : {"", "2", "01", "yes!", "true ", "enable"})
+        EXPECT_EQ(parseBool(bad), std::nullopt) << bad;
+}
+
+TEST(EnvFlag, UnsetOrEmptyKeepsTheDefault)
+{
+    {
+        ScopedEnv env("SVBENCH_TEST_FLAG", nullptr);
+        EXPECT_TRUE(envFlag("SVBENCH_TEST_FLAG", true));
+        EXPECT_FALSE(envFlag("SVBENCH_TEST_FLAG", false));
+    }
+    ScopedEnv env("SVBENCH_TEST_FLAG", "");
+    EXPECT_TRUE(envFlag("SVBENCH_TEST_FLAG", true));
+    EXPECT_FALSE(envFlag("SVBENCH_TEST_FLAG", false));
+}
+
+TEST(EnvFlag, SpelledValuesOverrideEitherDefault)
+{
+    {
+        ScopedEnv env("SVBENCH_TEST_FLAG", "false");
+        EXPECT_FALSE(envFlag("SVBENCH_TEST_FLAG", true));
+        EXPECT_FALSE(envFlag("SVBENCH_TEST_FLAG", false));
+    }
+    ScopedEnv env("SVBENCH_TEST_FLAG", "yes");
+    EXPECT_TRUE(envFlag("SVBENCH_TEST_FLAG", true));
+    EXPECT_TRUE(envFlag("SVBENCH_TEST_FLAG", false));
+}
+
+TEST(EnvFlag, AnythingElseWarnsAndKeepsTheDefault)
+{
+    ScopedEnv env("SVBENCH_TEST_FLAG", "maybe");
+    testing::internal::CaptureStderr();
+    EXPECT_TRUE(envFlag("SVBENCH_TEST_FLAG", true));
+    EXPECT_FALSE(envFlag("SVBENCH_TEST_FLAG", false));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("warn: ignoring SVBENCH_TEST_FLAG='maybe'"),
+              std::string::npos)
+        << err;
+}
+
+TEST(EnvFlag, TheFourLibraryKnobsShareTheGrammar)
+{
+    // Each used to read its own spelling: "false" enabled REAP and the
+    // fast tier, "true" left SVBENCH_FRESH and SVBENCH_NO_CKPT off.
+    // The store singleton reads its knob once, on first use; nothing
+    // else in this binary uses it.
+    {
+        ScopedEnv env("SVBENCH_NO_CKPT", "yes");
+        EXPECT_FALSE(CheckpointStore::global().enabled());
+    }
+    {
+        ScopedEnv env("SVBENCH_REAP", "false");
+        EXPECT_FALSE(reapEnvEnabled());
+    }
+    {
+        ScopedEnv env("SVBENCH_FASTWARM", "off");
+        EXPECT_FALSE(SuperblockCache::envEnabled());
+    }
+    // A fresh cache never reads its file, so a bad row there stays
+    // silent; a loading cache warns about it.
+    const std::string path = "test_sim_fresh.csv";
+    {
+        std::ofstream os(path);
+        os << "not-a-row\n";
+    }
+    for (const char *fresh : {"true", "0"}) {
+        ScopedEnv env("SVBENCH_FRESH", fresh);
+        testing::internal::CaptureStderr();
+        ResultCache cache(path);
+        EXPECT_EQ(testing::internal::GetCapturedStderr().empty(),
+                  *parseBool(fresh))
+            << fresh;
+    }
+    std::remove(path.c_str());
+}
+
+TEST(EnvFlag, JobsRejectsTrailingJunk)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    {
+        ScopedEnv env("SVBENCH_JOBS", "3");
+        EXPECT_EQ(ThreadPool::defaultJobs(), 3u);
+    }
+    ScopedEnv env("SVBENCH_JOBS", "4x");
+    testing::internal::CaptureStderr();
+    EXPECT_EQ(ThreadPool::defaultJobs(), hw ? hw : 1u);
+    EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                  "warn: ignoring SVBENCH_JOBS='4x'"),
+              std::string::npos);
 }
