@@ -41,8 +41,8 @@
 #include <map>
 
 #include "bench_common.hh"
-#include "bench_env.hh"
 #include "core/checkpoint_store.hh"
+#include "sim/env.hh"
 
 using namespace svb;
 
@@ -278,7 +278,7 @@ main()
         return 1;
     }
 
-    if (benchenv::flag("SVBENCH_HOSTTIME")) {
+    if (envFlag("SVBENCH_HOSTTIME", false)) {
         std::printf("\nHost restore latency (mean of 10 restores; wall "
                     "clock, not deterministic):\n");
         for (const Cell &cell : cells) {
