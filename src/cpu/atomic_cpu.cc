@@ -197,14 +197,32 @@ AtomicCpu::tickFast()
  * local accumulators, and uop dispatch through a computed-goto table
  * (or the portable switch below) over pre-classified SbKinds.
  */
+namespace
+{
+
+/** True when [addr, addr+len) overlaps a range of @p list. */
+bool
+overlaps(const AtomicCpu::WatchList &list, Addr addr, Addr len)
+{
+    for (const auto &[lo, hi] : list) {
+        if (addr < hi && addr + len > lo)
+            return true;
+    }
+    return false;
+}
+
+} // namespace
+
 uint64_t
-AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
+AtomicCpu::runFast(uint64_t budget, const Sync *sync, const Watch *watch)
 {
     svb_assert(sblocks != nullptr,
                "runFast() needs a SuperblockCache (core ", coreId, ")");
     svb_assert(!traceSink,
                "runFast() cannot deliver trace callbacks (core ", coreId,
                ")");
+    svb_assert(watch == nullptr || sync != nullptr,
+               "runFast() watch without sync (core ", coreId, ")");
     if (ctx.halted) {
         // Reached from the per-cycle path only: burn one idle cycle,
         // exactly like tick().
@@ -241,6 +259,21 @@ AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
     const auto reg = [this](uint8_t r) -> uint64_t {
         return r == invalidReg ? 0 : ctx.regs[r];
     };
+    // An access another core's fast-forwarded spin depends on: bring
+    // that core up to date before the access reaches the memory system
+    // and end the batch with this instruction.
+    const auto watched_access = [&] {
+        flush_stats();
+        (*sync)(consumed, true);
+        watch = nullptr;
+        budget = consumed;
+    };
+    // Fetches are checked where a code page is entered; a cursor left
+    // on such a page by an earlier batch re-enters it (the translation
+    // is a certain hit, as the credited one would have been).
+    if (watch != nullptr && curBlock != nullptr &&
+        overlaps(watch->writes, curFrame, paging::pageSize))
+        resetFastPath();
 
     while (consumed < budget) {
         ++consumed;
@@ -254,6 +287,9 @@ AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
             curInst = 0;
             curFrame = paging::pageBase(itr.paddr);
             curVpage = paging::pageBase(ctx.pc);
+            if (watch != nullptr &&
+                overlaps(watch->writes, curFrame, paging::pageSize))
+                watched_access();
         } else {
             // Same code page as the previous instruction: the entry
             // (re)filled by the block-entry translate() is still
@@ -377,6 +413,9 @@ AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
                           " pc=", ctx.pc, " core=", coreId, " proc=",
                           ctx.processId);
             }
+            if (watch != nullptr &&
+                overlaps(watch->writes, dtr.paddr, mo.memSize))
+                watched_access();
             ++d_loads;
             if (warming)
                 mem.warmData(dtr.paddr, mo.memSize, false);
@@ -402,6 +441,9 @@ AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
                           " pc=", ctx.pc, " core=", coreId, " proc=",
                           ctx.processId);
             }
+            if (watch != nullptr &&
+                overlaps(watch->reads, dtr.paddr, mo.memSize))
+                watched_access();
             ++d_stores;
             if (warming)
                 mem.warmData(dtr.paddr, mo.memSize, true);
@@ -457,8 +499,8 @@ AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
             ctx.pc = next_pc;
             resetFastPath();
             flush_stats();
-            if (pre_trap != nullptr)
-                (*pre_trap)(consumed);
+            if (sync != nullptr)
+                (*sync)(consumed, false);
             const Addr old_root = ctx.ptRoot;
             pendingStall += trap.handleSyscall(coreId, ctx);
             if (ctx.ptRoot != old_root) {
@@ -474,8 +516,8 @@ AtomicCpu::runFast(uint64_t budget, const PreTrap *pre_trap)
             ctx.pc = next_pc;
             resetFastPath();
             flush_stats();
-            if (pre_trap != nullptr)
-                (*pre_trap)(consumed);
+            if (sync != nullptr)
+                (*sync)(consumed, false);
             const Addr old_root = ctx.ptRoot;
             pendingStall += trap.handleHalt(coreId, ctx);
             if (ctx.ptRoot != old_root) {
@@ -535,6 +577,161 @@ inst_done:
 
     flush_stats();
     return consumed;
+}
+
+AtomicCpu::SpinMark
+AtomicCpu::spinMark(uint64_t busy_traps, const SpinMark *prev) const
+{
+    SpinMark m;
+    m.ctx = ctx;
+    m.stall = pendingStall;
+    m.busyTraps = busy_traps;
+    m.count = {statCycles.value(),   statInsts.value(),
+               statUops.value(),     statBranches.value(),
+               statLoads.value(),    statStores.value(),
+               statIdleCycles.value(), itlbUnit.hits(),
+               itlbUnit.misses(),    dtlbUnit.hits(),
+               dtlbUnit.misses(),    mem.l1i().useCount(),
+               mem.l1i().misses(),   mem.l1d().useCount(),
+               mem.l1d().misses()};
+    if (prev != nullptr) {
+        m.fetched = mem.l1i().usedSince(prev->count[scL1iUses]);
+        m.loaded = mem.l1d().usedSince(prev->count[scL1dUses]);
+    }
+    return m;
+}
+
+namespace
+{
+
+/** True when @p after holds the lines of @p before, each last used
+ *  exactly @p shift accesses later. */
+bool
+sameUses(const std::vector<Cache::LineUse> &before,
+         const std::vector<Cache::LineUse> &after, uint64_t shift)
+{
+    if (before.size() != after.size())
+        return false;
+    for (size_t i = 0; i < before.size(); ++i) {
+        if (before[i].slot != after[i].slot ||
+            before[i].tag != after[i].tag ||
+            after[i].lastUse != before[i].lastUse + shift)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+bool
+AtomicCpu::markIdleYield(uint64_t busy_traps)
+{
+    if (!warming)
+        return false;
+    if (skipMarks > 0) {
+        --skipMarks;
+        return false;
+    }
+    SpinMark m = spinMark(busy_traps, marks > 0 ? &lastMark : nullptr);
+    if (marks == 0) {
+        lastMark = std::move(m);
+        marks = 1;
+        return false;
+    }
+    SpinCounts d;
+    for (unsigned i = 0; i < numSpinCounts; ++i)
+        d[i] = m.count[i] - lastMark.count[i];
+    // A period repeats the previous one exactly when it starts from the
+    // same context and the same bytes in every line it reads, saw no
+    // trap but empty-queue yields (which only count) and missed
+    // nowhere. Another core's store into one of its lines would show
+    // as an invalidation: a miss, or a line gone from the list. Its own
+    // stores must leave its data lines as they found them.
+    const HwContext &a = lastMark.ctx;
+    const bool periodic =
+        m.ctx.pc == a.pc && m.ctx.regs == a.regs &&
+        m.ctx.ptRoot == a.ptRoot && m.ctx.processId == a.processId &&
+        m.ctx.halted == a.halted && m.stall == lastMark.stall &&
+        m.busyTraps == lastMark.busyTraps && d[scIdle] == 0 &&
+        d[scItlbMisses] == 0 && d[scDtlbMisses] == 0 &&
+        d[scL1iMisses] == 0 && d[scL1dMisses] == 0;
+    if (periodic && d[scStores] > 0) {
+        const uint32_t line = mem.l1d().params().lineSize;
+        m.bytes.resize(m.loaded.size() * line);
+        for (size_t i = 0; i < m.loaded.size(); ++i)
+            phys.readBytes(m.loaded[i].tag, &m.bytes[i * line], line);
+    }
+    if (periodic && marks == 2 && d == lastDelta &&
+        sameUses(lastMark.fetched, m.fetched, d[scL1iUses]) &&
+        sameUses(lastMark.loaded, m.loaded, d[scL1dUses]) &&
+        m.bytes == lastMark.bytes) {
+        orbit.period = d[scCycles];
+        orbit.phase = 0;
+        orbit.delta = d;
+        orbit.fetched = std::move(m.fetched);
+        orbit.loaded = std::move(m.loaded);
+        Watch &w = orbit.watch;
+        w = Watch{};
+        for (const Cache::LineUse &u : orbit.fetched)
+            w.reads.emplace_back(u.tag, u.tag + mem.l1i().params().lineSize);
+        for (const Cache::LineUse &u : orbit.loaded) {
+            w.reads.emplace_back(u.tag, u.tag + mem.l1d().params().lineSize);
+            if (d[scStores] > 0)
+                w.writes.push_back(w.reads.back());
+        }
+        marks = 0;
+        backoff = 0;
+        return true;
+    }
+    if (!periodic || marks == 2) {
+        marks = 0;
+        backoff = std::min(backoff == 0 ? 1u : 2 * backoff, 32u);
+        skipMarks = backoff;
+        return false;
+    }
+    lastDelta = d;
+    lastMark = std::move(m);
+    marks = 2;
+    return false;
+}
+
+uint64_t
+AtomicCpu::creditOrbit(uint64_t cycles)
+{
+    svb_assert(orbiting(), "creditOrbit() off orbit (core ", coreId, ")");
+    const uint64_t period = orbit.period;
+    for (; cycles > 0 && orbit.phase != 0; --cycles) {
+        tickFast();
+        if (++orbit.phase == period)
+            orbit.phase = 0;
+    }
+    const uint64_t periods = cycles / period;
+    if (periods > 0) {
+        const SpinCounts &d = orbit.delta;
+        statCycles += periods * d[scCycles];
+        statInsts += periods * d[scInsts];
+        statUops += periods * d[scUops];
+        statBranches += periods * d[scBranches];
+        statLoads += periods * d[scLoads];
+        statStores += periods * d[scStores];
+        itlbUnit.creditHits(periods * d[scItlbHits]);
+        dtlbUnit.creditHits(periods * d[scDtlbHits]);
+        mem.l1i().creditHitRounds(orbit.fetched, d[scL1iUses], periods);
+        mem.l1d().creditHitRounds(orbit.loaded, d[scL1dUses], periods);
+    }
+    for (cycles -= periods * period; cycles > 0; --cycles) {
+        tickFast();
+        ++orbit.phase;
+    }
+    return periods;
+}
+
+void
+AtomicCpu::endOrbit()
+{
+    orbit = Orbit{};
+    marks = 0;
+    skipMarks = 0;
 }
 
 } // namespace svb

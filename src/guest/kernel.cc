@@ -9,6 +9,7 @@ GuestKernel::GuestKernel(PhysMemory &phys_mem, FrameAllocator &frame_alloc,
                          IsaId isa_id, int num_cores, StatGroup &stats)
     : phys(phys_mem), frames(frame_alloc), isa(isa_id),
       runQueues(size_t(num_cores)), runningPid(size_t(num_cores), -1),
+      idleYieldCount(size_t(num_cores), 0),
       statSyscalls(stats.childGroup("kernel").addScalar(
           "syscalls", "syscalls handled")),
       statYields(stats.childGroup("kernel").addScalar("yields",
@@ -158,8 +159,10 @@ GuestKernel::handleSyscall(int core_id, HwContext &ctx)
       case sys::sysYield: {
         ++statYields;
         auto &queue = runQueues[size_t(core_id)];
-        if (queue.empty())
+        if (queue.empty()) {
+            ++idleYieldCount[size_t(core_id)];
             return cost.syscall; // nothing else to run: cheap return
+        }
         return switchTo(core_id, ctx, /*requeue_current=*/true);
       }
       case sys::sysM5: {
@@ -196,6 +199,24 @@ GuestKernel::handleHalt(int core_id, HwContext &ctx)
     if (cur >= 0)
         process(cur).state = ProcState::Exited;
     return switchTo(core_id, ctx, /*requeue_current=*/false);
+}
+
+uint64_t
+GuestKernel::busyTraps() const
+{
+    uint64_t idle = 0;
+    for (const uint64_t n : idleYieldCount)
+        idle += n;
+    return trapCounter - idle;
+}
+
+void
+GuestKernel::creditIdleYields(int core_id, uint64_t n)
+{
+    statSyscalls += n;
+    statYields += n;
+    trapCounter += n;
+    idleYieldCount[size_t(core_id)] += n;
 }
 
 void

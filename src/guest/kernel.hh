@@ -82,6 +82,24 @@ class GuestKernel : public TrapHandler, public Serializable
     void setM5Listener(M5Listener *listener) { m5 = listener; }
     const Costs &costs() const { return cost; }
 
+    /**
+     * sysYields on @p core_id that found its run queue empty. Host-side
+     * bookkeeping for the fast tier's spin fast-forward (System::run):
+     * not checkpointed, only its changes are read.
+     */
+    uint64_t idleYields(int core_id) const
+    {
+        return idleYieldCount[size_t(core_id)];
+    }
+
+    /** Traps other than empty-queue yields, on any core; like
+     *  idleYields(), only its changes are meaningful. */
+    uint64_t busyTraps() const;
+
+    /** Account @p n empty-queue sysYields on @p core_id in bulk, with
+     *  the same counters as @p n handled traps. */
+    void creditIdleYields(int core_id, uint64_t n);
+
     void serializeState(const std::string &prefix,
                         Checkpoint &cp) const override;
     void unserializeState(const std::string &prefix,
@@ -104,6 +122,7 @@ class GuestKernel : public TrapHandler, public Serializable
     std::vector<std::unique_ptr<Process>> procs;
     std::vector<std::deque<int>> runQueues; ///< per core
     std::vector<int> runningPid;            ///< per core, -1 if idle
+    std::vector<uint64_t> idleYieldCount;   ///< per core, see idleYields()
     uint64_t trapCounter = 0;
 
     Scalar &statSyscalls;

@@ -195,6 +195,39 @@ Checkpoint::erasePrefix(const std::string &prefix)
     erase_range(blobs);
 }
 
+namespace
+{
+
+template <typename Map>
+std::string
+firstMapDifference(const Map &a, const Map &b)
+{
+    auto ia = a.begin();
+    auto ib = b.begin();
+    for (; ia != a.end() && ib != b.end(); ++ia, ++ib) {
+        if (ia->first != ib->first)
+            return std::min(ia->first, ib->first);
+        if (ia->second != ib->second)
+            return ia->first;
+    }
+    if (ia != a.end())
+        return ia->first;
+    return ib != b.end() ? ib->first : std::string();
+}
+
+} // namespace
+
+std::string
+Checkpoint::firstDifference(const Checkpoint &other) const
+{
+    std::string key = firstMapDifference(scalars, other.scalars);
+    if (key.empty())
+        key = firstMapDifference(strings, other.strings);
+    if (key.empty())
+        key = firstMapDifference(blobs, other.blobs);
+    return key;
+}
+
 void
 Checkpoint::saveToFile(const std::string &path) const
 {

@@ -62,6 +62,10 @@ class Checkpoint
      */
     void erasePrefix(const std::string &prefix);
 
+    /** @return the first key (scalars, then strings, then blobs) whose
+     *  presence or value differs from @p other; empty when equal. */
+    std::string firstDifference(const Checkpoint &other) const;
+
     /**
      * Write the checkpoint to a file (simple tagged binary format).
      * The write goes to a uniquely named temporary sibling first and

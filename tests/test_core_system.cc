@@ -74,7 +74,7 @@ TEST(SystemRun, GuestExitSimStopsTheLoop)
     EXPECT_FALSE(sys.cpu(0).halted()); // stopped, not finished
 }
 
-TEST(SystemRun, RunUntilConditionStopsEarly)
+TEST(SystemRun, BudgetStopsTheLoopEarly)
 {
     SystemConfig cfg = SystemConfig::paperConfig(IsaId::Riscv);
     cfg.numCores = 1;
@@ -89,9 +89,9 @@ TEST(SystemRun, RunUntilConditionStopsEarly)
     loadProcess(sys.kernel(), gen::compileProgram(pb.take(), IsaId::Riscv),
                 "p", 0);
     sys.scheduleIdleCores();
-    const uint64_t ran =
-        sys.runUntil([&] { return sys.cycle() >= 5'000; }, 1'000'000);
+    const uint64_t ran = sys.run(5'000);
     EXPECT_LE(ran, 5'001u);
+    EXPECT_EQ(sys.cycle(), ran);
     EXPECT_FALSE(sys.cpu(0).halted());
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/cluster.hh"
@@ -37,6 +38,23 @@ genValue(uint64_t key, uint64_t len)
         std::memcpy(out.data() + j, &w, 8);
     }
     return out;
+}
+
+/**
+ * Run @p sys in chunks until process @p pid exits or @p limit cycles
+ * have passed; the stores spin forever by design, so the system never
+ * halts on its own.
+ *
+ * @return cycles run
+ */
+uint64_t
+runUntilExited(System &sys, int pid, uint64_t limit)
+{
+    uint64_t ran = 0;
+    while (ran < limit &&
+           sys.kernel().process(pid).state != ProcState::Exited)
+        ran += sys.run(std::min<uint64_t>(1'000'000, limit - ran));
+    return ran;
 }
 
 /**
@@ -128,12 +146,8 @@ TEST_P(DbKindTest, BootGetPutThroughRings)
     Driver driver = deployDriver(sys, rings_phys, record_id);
     sys.scheduleIdleCores();
     // The store spins forever by design; run until the driver exits.
-    const uint64_t ran = sys.runUntil(
-        [&] {
-            return sys.kernel().process(driver.prog.pid).state ==
-                   ProcState::Exited;
-        },
-        400'000'000);
+    const uint64_t ran =
+        runUntilExited(sys, driver.prog.pid, 400'000'000);
     EXPECT_LT(ran, 400'000'000u) << "driver hung";
 
     const AddressSpace &as = *sys.kernel().process(driver.prog.pid).space;
@@ -204,13 +218,7 @@ TEST(Memcached, MissThenHit)
     mapSharedInto(sys.kernel(), lp.pid, layout::sharedBase, rings_phys,
                   topo::sharedRegionBytes);
     sys.scheduleIdleCores();
-    ASSERT_LT(sys.runUntil(
-                  [&] {
-                      return sys.kernel().process(lp.pid).state ==
-                             ProcState::Exited;
-                  },
-                  100'000'000),
-              100'000'000u);
+    ASSERT_LT(runUntilExited(sys, lp.pid, 100'000'000), 100'000'000u);
 
     const AddressSpace &as = *sys.kernel().process(lp.pid).space;
     EXPECT_EQ(as.read(miss_len, 8), 0u);
